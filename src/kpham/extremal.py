@@ -18,7 +18,6 @@ count or execution order.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -27,7 +26,7 @@ from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
 from .errors import BudgetExceeded, TooLarge, TooSmall
 from .graph import KPartiteGraph, from_edge_list, new_complete, remove_edges
-from .oracle import ORACLE_VERTEX_CAP, is_hamiltonian
+from .oracle import ORACLE_VERTEX_CAP, is_hamiltonian, run_chunks
 from .paths import is_hamilton_cycle
 
 RNG_NAME = "mt19937"
@@ -61,7 +60,7 @@ def random_graph_at_edge_count(
     return from_edge_list(k, n, rng.sample(host, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultReport:
     k: int
     n: int
@@ -149,7 +148,8 @@ def fault_tolerance_trial(
     require allow_over_budget=True (and a host small enough for the
     oracle). Random mode runs `trials` draws seeded per trial; exhaustive
     mode visits every deletion set in ascending order and ignores `trials`
-    and `seed`.
+    and `seed`. jobs sets the number of chunks; at most min(jobs, chunks,
+    CPU count) worker processes run them.
     """
     if deletions < 0:
         raise ValueError("deletions must be nonnegative")
@@ -181,7 +181,6 @@ def fault_tolerance_trial(
 
     if jobs == 1 or total <= 1:
         chunks = [(k, n, deletions, seed, 0, total, exhaustive, oracle_cap, cross_check)]
-        parts = [_fault_chunk(chunks[0])]
     else:
         step = -(-total // jobs)
         chunks = [
@@ -189,8 +188,7 @@ def fault_tolerance_trial(
              oracle_cap, cross_check)
             for lo in range(0, total, step)
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_fault_chunk, chunks))
+    parts = run_chunks(_fault_chunk, chunks, jobs)
 
     survived = failed = fallbacks = disagreements = 0
     failures: list[tuple[tuple[int, int], ...]] = []

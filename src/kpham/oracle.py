@@ -4,10 +4,17 @@ The oracle is deliberately independent of the constructive solver: it
 shares no cycle-building code, so a bug in one cannot hide in the other.
 Two decision procedures are provided:
 
-* backtracking — anchored depth-first search with reachability pruning,
-  the default up to 12 vertices;
-* dp — Held-Karp subset dynamic programming over endpoint bitmasks, the
-  default from 13 vertices up to the size cap.
+* backtracking — anchored depth-first search with reachability pruning;
+* dp — Held-Karp subset dynamic programming over endpoint bitmasks.
+
+The default, "auto", runs backtracking first under a budget of
+_BACKTRACK_BUDGET (4096) search nodes, at every size up to the cap.
+Backtracking that finishes inside the budget is a complete search; only
+when the budget runs out does Held-Karp decide. Threshold instances are
+found in tens to hundreds of nodes, while the DP walks every reachable
+(subset, end) state. The budget bounds the worst case: refuting a 16-vertex
+graph can take plain backtracking over a million nodes, and "auto" pays the
+DP plus 4096 spent nodes instead.
 
 enumerate_threshold_sweep() runs the oracle (and, at or above the edge
 threshold, the solver) over every host-edge subset of a given size range,
@@ -18,10 +25,10 @@ byte-identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
@@ -30,7 +37,7 @@ from .graph import KPartiteGraph, bits, from_edge_list, new_complete
 from .paths import canonical_cycle, is_hamilton_cycle
 
 ORACLE_VERTEX_CAP = 16
-_BACKTRACKING_LIMIT = 12
+_BACKTRACK_BUDGET = 4096
 HOST_EDGE_CAP = 28
 
 
@@ -50,10 +57,14 @@ def is_hamiltonian(
     """Decide Hamiltonicity exactly, returning a witness cycle when one
     exists.
 
-    Accepts a partite graph or raw adjacency rows. method is "auto"
-    (backtracking up to 12 vertices, dp beyond), "backtracking", or "dp".
-    Raises TooLarge past max_vertices: the procedures are exponential and
-    the cap keeps misuse loud.
+    Accepts a partite graph or raw adjacency rows. method is "auto",
+    "backtracking", or "dp". "auto" runs backtracking under a budget of
+    _BACKTRACK_BUDGET search nodes and falls back to dp only when the
+    budget runs out; the other two run their procedure unbounded. The
+    answer's method names the procedure that decided (never "auto"), and
+    nodes_expanded counts the nodes of every procedure that ran, spent
+    budget included. Raises TooLarge past max_vertices: the procedures are
+    exponential and the cap keeps misuse loud.
     """
     rows = tuple(graph.adj) if isinstance(graph, KPartiteGraph) else tuple(graph)
     n_vertices = len(rows)
@@ -61,22 +72,27 @@ def is_hamiltonian(
         raise TooLarge(
             f"{n_vertices} vertices exceeds the oracle cap of {max_vertices}"
         )
-    if method == "auto":
-        method = "backtracking" if n_vertices <= _BACKTRACKING_LIMIT else "dp"
-    if method not in ("backtracking", "dp"):
+    if method not in ("auto", "backtracking", "dp"):
         raise ValueError(f"unknown oracle method {method!r}")
+    decided_by = "dp" if method == "dp" else "backtracking"
 
     if n_vertices < 3 or min(row.bit_count() for row in rows) < 2:
-        return OracleAnswer(False, None, method, 0)
+        return OracleAnswer(False, None, decided_by, 0)
     if not _connected(rows):
-        return OracleAnswer(False, None, method, 0)
-    if method == "backtracking":
-        cycle, nodes = _backtrack(rows)
-    else:
+        return OracleAnswer(False, None, decided_by, 0)
+    if method == "dp":
         cycle, nodes = _held_karp(rows)
+    else:
+        budget = _BACKTRACK_BUDGET if method == "auto" else None
+        try:
+            cycle, nodes = _backtrack(rows, budget)
+        except _BudgetExhausted:
+            cycle, nodes = _held_karp(rows)
+            nodes += _BACKTRACK_BUDGET
+            decided_by = "dp"
     if cycle is None:
-        return OracleAnswer(False, None, method, nodes)
-    return OracleAnswer(True, canonical_cycle(cycle), method, nodes)
+        return OracleAnswer(False, None, decided_by, nodes)
+    return OracleAnswer(True, canonical_cycle(cycle), decided_by, nodes)
 
 
 def _connected(rows: tuple[int, ...]) -> bool:
@@ -92,7 +108,15 @@ def _connected(rows: tuple[int, ...]) -> bool:
     return seen == full
 
 
-def _backtrack(rows: tuple[int, ...]) -> tuple[list[int] | None, int]:
+class _BudgetExhausted(Exception):
+    """Backtracking spent its whole node budget; the question is still open."""
+
+
+def _backtrack(
+    rows: tuple[int, ...], budget: int | None = None
+) -> tuple[list[int] | None, int]:
+    """Complete search, or _BudgetExhausted once it would expand more than
+    budget nodes (None: unbounded)."""
     n_vertices = len(rows)
     full = (1 << n_vertices) - 1
     path = [0]
@@ -112,6 +136,8 @@ def _backtrack(rows: tuple[int, ...]) -> tuple[list[int] | None, int]:
 
     def dive(visited: int) -> bool:
         nonlocal nodes
+        if nodes == budget:
+            raise _BudgetExhausted
         nodes += 1
         cur = path[-1]
         if visited == full:
@@ -282,6 +308,25 @@ def _sweep_chunk(
     return ham, non_ham, agreements, fallbacks, records, tags
 
 
+def run_chunks(fn: Callable, chunks: Sequence, jobs: int) -> list:
+    """fn applied to each chunk, in chunk order; shared with extremal.
+
+    With jobs > 1 and more than one chunk, the chunks go to a process pool
+    of min(jobs, len(chunks), CPU count) workers: the pool starts every
+    worker up front, so a large jobs value must not fork that many. fn must
+    be a module-level function, since workers receive it by name.
+    """
+    if jobs == 1 or len(chunks) <= 1:
+        return [fn(chunk) for chunk in chunks]
+    # Imported here because the pool machinery adds ~2 MB to every process
+    # that loads it, and only runs with jobs > 1 use it.
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
+
+
 def enumerate_threshold_sweep(
     k: int,
     n: int,
@@ -293,9 +338,10 @@ def enumerate_threshold_sweep(
 
     The solver runs only on instances at or above the threshold, where it
     owes an answer; disagreements with the oracle are returned as
-    counterexamples (the expected count is zero). Raises TooLarge when the
-    host has more than HOST_EDGE_CAP edges, since the subset space doubles
-    with each extra edge.
+    counterexamples (the expected count is zero). jobs sets the number of
+    chunks; at most min(jobs, chunks, CPU count) worker processes run them.
+    Raises TooLarge when the host has more than HOST_EDGE_CAP edges, since
+    the subset space doubles with each extra edge.
     """
     host_count = new_complete(k, n).edge_count
     if host_count > HOST_EDGE_CAP:
@@ -320,11 +366,7 @@ def enumerate_threshold_sweep(
             for lo in range(0, total, step)
         ]
 
-    if jobs == 1 or len(chunks) <= 1:
-        parts = [_sweep_chunk(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_sweep_chunk, chunks))
+    parts = run_chunks(_sweep_chunk, chunks, jobs)
 
     ham = non_ham = agreements = fallbacks = 0
     records: list[Counterexample] = []

@@ -8,8 +8,10 @@ nothing with them.
 
 from __future__ import annotations
 
+import concurrent.futures
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import strategies as st
 
 from kpham import KPartiteGraph, from_edge_list, new_complete
@@ -77,3 +79,27 @@ def partite_graphs(
 def all_subsets_of_size(k: int, n: int, m: int):
     for combo in combinations(host_edges(k, n), m):
         yield from_edge_list(k, n, combo)
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """Replace concurrent.futures.ProcessPoolExecutor with an in-process
+    stand-in and return the list of max_workers values it is built with,
+    so pool sizing can be checked without starting a process."""
+    widths: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return widths

@@ -6,7 +6,13 @@ import io
 
 import pytest
 
-from kpham import new_complete, parse_graph, write_graph
+from kpham import (
+    new_complete,
+    parse_graph,
+    remove_edges,
+    validate_hamilton_cycle,
+    write_graph,
+)
 from kpham.cli import run
 
 
@@ -157,6 +163,16 @@ class TestOracle:
         lines = out.splitlines()
         assert lines[0] == "hamiltonian no"
         assert lines[1].startswith("method dp")
+
+    def test_auto_backtracks_on_16_vertices(self, capsys, tmp_path):
+        g, _ = remove_edges(new_complete(4, 4), [(0, 4), (1, 9), (6, 14), (11, 12)])
+        path = graph_file(tmp_path, g)
+        code, out, _ = invoke(capsys, "oracle", path)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "hamiltonian yes"
+        assert lines[2].startswith("method backtracking nodes ")
+        validate_hamilton_cycle(g.adj, [int(v) for v in lines[1].split()[1:]])
 
     def test_bad_method_is_usage_error(self, capsys, tmp_path):
         path = graph_file(tmp_path, new_complete(2, 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -74,6 +75,17 @@ class TestFaultTrials:
         serial = fault_tolerance_trial(4, 2, deletions=4, trials=60, seed=3, jobs=1)
         parallel = fault_tolerance_trial(4, 2, deletions=4, trials=60, seed=3, jobs=3)
         assert serial == parallel
+
+    def test_pool_is_clamped_to_chunks_and_cpus(self, pool_widths, monkeypatch):
+        serial = fault_tolerance_trial(3, 2, deletions=2, trials=20, seed=9)
+        wide = fault_tolerance_trial(
+            3, 2, deletions=2, trials=20, seed=9, jobs=10_000
+        )
+        assert wide == serial
+        assert pool_widths == [min(20, os.cpu_count() or 1)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
+        fault_tolerance_trial(3, 2, deletions=2, trials=20, seed=9, jobs=10_000)
+        assert pool_widths[-1] == 20  # one chunk per trial
 
     def test_budget_gate(self):
         with pytest.raises(BudgetExceeded, match="exceeds the budget"):

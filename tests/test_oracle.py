@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import random
 from itertools import combinations
 from math import comb
 
@@ -11,13 +13,14 @@ from conftest import partite_graphs, perm_hamiltonian
 from kpham import (
     TooLarge,
     enumerate_threshold_sweep,
+    from_edge_list,
     is_hamiltonian,
     new_complete,
     remove_edges,
     validate_hamilton_cycle,
 )
 from kpham.graph import adjacency_from_edges
-from kpham.oracle import _next_colex, _unrank_colex
+from kpham.oracle import _BACKTRACK_BUDGET, _next_colex, _unrank_colex
 
 PETERSEN = adjacency_from_edges(
     10,
@@ -57,11 +60,25 @@ class TestDecision:
         validate_hamilton_cycle(g.adj, bt.cycle)
         validate_hamilton_cycle(g.adj, dp.cycle)
 
-    def test_auto_picks_dp_for_larger_instances(self):
+    def test_auto_backtracks_on_larger_instances(self):
         g = new_complete(7, 2)  # 14 vertices
         ans = is_hamiltonian(g)
-        assert ans.method == "dp"
+        assert ans.method == "backtracking"
         assert ans.hamiltonian
+        validate_hamilton_cycle(g.adj, ans.cycle)
+
+    def test_auto_falls_back_to_dp_when_the_budget_runs_out(self):
+        # Part 0 joined to everything, nothing among parts 1-3: on a cycle
+        # each of the twelve outer vertices sits between two of the four
+        # part-0 vertices, so none exists, and plain backtracking takes
+        # ~88k nodes to prove it.
+        g = from_edge_list(4, 4, [(u, v) for u in range(4) for v in range(4, 16)])
+        ans = is_hamiltonian(g)
+        dp = is_hamiltonian(g, method="dp")
+        assert not ans.hamiltonian and ans.cycle is None
+        assert ans.method == "dp"
+        assert ans.hamiltonian == dp.hamiltonian
+        assert ans.nodes_expanded == _BACKTRACK_BUDGET + dp.nodes_expanded
 
     def test_vertex_cap(self):
         with pytest.raises(TooLarge):
@@ -89,6 +106,29 @@ class TestDecision:
         dp = is_hamiltonian(g, method="dp")
         assert bt.hamiltonian == truth
         assert dp.hamiltonian == truth
+
+    @pytest.mark.parametrize(
+        ("k", "n", "deletions", "seed"),
+        [
+            (4, 4, 4, 1),  # within the (4,4) deletion budget of 10
+            (4, 4, 10, 2),
+            (4, 4, 30, 3),  # over it
+            (4, 4, 60, 1),
+            (4, 4, 68, 1),
+            (7, 2, 5, 4),
+            (7, 2, 40, 5),
+            (5, 3, 10, 6),
+            (5, 3, 50, 7),
+        ],
+    )
+    def test_auto_agrees_with_dp_at_13_to_16_vertices(self, k, n, deletions, seed):
+        host = new_complete(k, n)
+        g, _ = remove_edges(host, random.Random(seed).sample(host.edges(), deletions))
+        auto = is_hamiltonian(g)
+        assert auto.method in ("backtracking", "dp")
+        assert auto.hamiltonian == is_hamiltonian(g, method="dp").hamiltonian
+        if auto.hamiltonian:
+            validate_hamilton_cycle(g.adj, auto.cycle)
 
     def test_min_degree_short_circuit(self):
         g, _ = remove_edges(new_complete(3, 2), [(0, 2), (0, 3), (0, 4)])
@@ -168,6 +208,14 @@ class TestSweep:
     def test_host_too_wide(self):
         with pytest.raises(TooLarge, match="host"):
             enumerate_threshold_sweep(5, 2)
+
+    def test_pool_is_clamped_to_chunks_and_cpus(self, pool_widths, monkeypatch):
+        serial = enumerate_threshold_sweep(3, 2, jobs=1)
+        assert enumerate_threshold_sweep(3, 2, jobs=10_000) == serial
+        assert pool_widths == [min(serial.total, os.cpu_count() or 1)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
+        assert enumerate_threshold_sweep(3, 2, jobs=10_000) == serial
+        assert pool_widths[-1] == serial.total  # one chunk per instance
 
     def test_min_edges_above_host_is_empty(self):
         s = enumerate_threshold_sweep(2, 2, min_edges=5)
