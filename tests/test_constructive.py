@@ -8,6 +8,7 @@ enough, plus determinism and trace-vocabulary invariants.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -26,10 +27,12 @@ from kpham import (
     canonical_cycle,
     close_hamilton_path,
     edge_threshold,
+    evaluate,
     from_edge_list,
     is_hamilton_cycle,
     new_complete,
     ore_build_cycle,
+    random_graph_at_edge_count,
     remove_edges,
     solve,
     solve_theorem11,
@@ -360,3 +363,110 @@ class TestSolveTheorem11:
             checked += 1
         assert checked == 196
         assert negatives == 12
+
+
+# ---- golden outputs ------------------------------------------------------
+#
+# Byte-for-byte pins of solve(), solve_theorem11() and evaluate() on a seeded
+# instance set that reaches every route: BaseN1/OreRotation, BaseK2, the
+# BaseN2 closure, the BaseN2 part-removal induction (both the consecutive-
+# neighbour insert and the reroute, with and without a crossing pair), Case1
+# with MatchStitch, Case2 (including a SearchFallback), and Theorem 11 with
+# the virtual edge unused and rerouted. Any refactor of the solver must keep
+# these strings exactly.
+
+GOLDEN_SHAPES = (
+    (3, 1), (5, 1), (8, 1), (2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (5, 2),
+    (6, 2), (8, 2), (3, 3), (4, 3), (3, 4), (5, 3), (4, 4), (6, 3),
+)
+
+
+def _hub_instance(k: int, n: int, rng: random.Random):
+    """Spend the whole deletion budget (k-1)n - 2 on one vertex, usually
+    keeping its surviving neighbours inside a single part."""
+    budget = (k - 1) * n - 2
+    hub = rng.randrange(k * n)
+    others = [w for w in range(k * n) if w // n != hub // n]
+    keep = rng.choice(sorted({w // n for w in others}))
+    rng.shuffle(others)
+    if rng.random() < 0.7:
+        others.sort(key=lambda w: w // n == keep)
+    g, _ = remove_edges(
+        new_complete(k, n), [(min(hub, w), max(hub, w)) for w in others[:budget]]
+    )
+    return g
+
+
+def _golden_instances():
+    rng = random.Random(2023)
+    for k, n in GOLDEN_SHAPES:
+        for _ in range(16):
+            yield random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
+            yield _hub_instance(k, n, rng)
+
+
+def _one_short(g):
+    edges = g.edges()
+    return remove_edges(g, [edges[len(edges) // 2]])[0]
+
+
+GOLDEN_LITERALS = [
+    # (k, n, dropped host edges, solve, solve_theorem11 one edge short)
+    (
+        4, 1, [(0, 1)],
+        'cycle 0 2 1 3\ntrace BaseN1,OreRotation\n',
+        'none HypothesisNotMet\ntrace\n',
+    ),
+    (
+        2, 3, [(0, 3)],
+        'cycle 0 4 1 3 2 5\ntrace BaseK2,LemmaClosure\n',
+        'cycle 0 4 1 3 2 5\ntrace T11AddEdge,BaseK2,LemmaClosure\n',
+    ),
+    (
+        4, 2, [(0, 2), (1, 4), (3, 7), (5, 6)],
+        'cycle 0 6 4 3 1 2 5 7\ntrace BaseN2,LemmaClosure\n',
+        'cycle 0 6 4 3 1 2 5 7\ntrace T11AddEdge,BaseN2,LemmaClosure\n',
+    ),
+    (
+        5, 2, [(2, 6), (4, 6), (5, 8), (6, 8), (6, 9), (7, 8)],
+        'cycle 0 7 9 5 2 1 6 3 4 8\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 7 9 5 3 6 1 2 4 8\ntrace T11AddEdge,BaseN2,BaseN2,LemmaClosure,LemmaClosure,LemmaClosure\n',
+    ),
+    (
+        3, 3, [(0, 4), (0, 6), (0, 8), (1, 8)],
+        'cycle 0 3 6 1 4 2 8 5 7\ntrace Case1,BaseN2,LemmaClosure,MatchStitch\n',
+        'cycle 0 3 2 8 5 1 6 4 7\ntrace T11AddEdge,Case1,BaseN2,LemmaClosure,MatchStitch,LemmaClosure\n',
+    ),
+    (
+        3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)],
+        'cycle 0 6 5 1 3 2 7 4 8\ntrace Case2,SearchFallback\n',
+        'cycle 0 6 5 1 3 2 7 4 8\ntrace T11AddEdge,Case2,SearchFallback\n',
+    ),
+    (
+        4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
+        'cycle 0 10 7 9 6 5 2 4 1 3 8 11\ntrace LemmaClosure\n',
+        'cycle 0 9 4 6 2 11 8 5 1 7 3 10\ntrace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch\n',
+    ),
+]
+
+GOLDEN_BATCH_SHA256 = "8d4a5a2d65a14a96c65516f867e25f35562bd7a8dc99cd7c458f405e1d1cf822"
+
+
+class TestGolden:
+    @pytest.mark.parametrize(("k", "n", "drop", "want", "want_t11"), GOLDEN_LITERALS)
+    def test_literal(self, k, n, drop, want, want_t11):
+        g, _ = remove_edges(new_complete(k, n), drop)
+        assert solve(g).serialize() == want
+        assert solve_theorem11(_one_short(g)).serialize() == want_t11
+
+    def test_batch_digest(self):
+        digest = hashlib.sha256()
+        tags: set[str] = set()
+        for g in _golden_instances():
+            result = solve(g)
+            tags.update(result.trace)
+            digest.update(result.serialize().encode())
+            digest.update(solve_theorem11(_one_short(g)).serialize().encode())
+            digest.update((evaluate(g).as_record() + "\n").encode())
+        assert tags == TRACE_TAGS - {"T11AddEdge", "SearchFallback"}
+        assert digest.hexdigest() == GOLDEN_BATCH_SHA256
