@@ -16,7 +16,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .errors import TooSmall
-from .graph import SIGMA_INFINITY, GraphStats, KPartiteGraph, bits, edge_count_of, stats
+from .graph import SIGMA_INFINITY, KPartiteGraph, bits, edge_count_of, stats
 
 
 def edge_threshold(k: int, n: int) -> int:
@@ -84,10 +84,14 @@ def check_theorem4_min_degree(g: KPartiteGraph) -> bool:
 def check_theorem5_sigma(g: KPartiteGraph) -> bool:
     """Cross-part degree-sum condition: sigma > (k - 2/(k+1))*n for odd k,
     sigma > (k - 4/(k+2))*n for even k. SIGMA_INFINITY always passes."""
-    sigma = stats(g).sigma
+    return meets_sigma_bound(g.k, g.n, stats(g).sigma)
+
+
+def meets_sigma_bound(k: int, n: int, sigma: int | float) -> bool:
+    """check_theorem5_sigma on an already computed sigma (GraphStats.sigma)."""
     if sigma == SIGMA_INFINITY:
         return True
-    scale, bound = _parity_scaled_bound(g.k, g.n)
+    scale, bound = _parity_scaled_bound(k, n)
     return scale * int(sigma) > bound
 
 
@@ -167,9 +171,9 @@ def evaluate(g: KPartiteGraph) -> ConditionReport:
         degs = [row.bit_count() for row in g.adj]
         violations["theorem4_min_degree"] = (degs.index(min(degs)),)
 
-    t5_ok = check_theorem5_sigma(g)
+    t5_ok = meets_sigma_bound(g.k, g.n, st.sigma)
     if not t5_ok:
-        violations["theorem5_sigma"] = _sigma_witness(g, st)
+        violations["theorem5_sigma"] = st.sigma_pair
 
     t11_ok = st.edge_count >= threshold - 1 and st.min_degree >= 2
     if not t11_ok and st.min_degree < 2:
@@ -192,13 +196,3 @@ def evaluate(g: KPartiteGraph) -> ConditionReport:
         violations=violations,
     )
 
-
-def _sigma_witness(g: KPartiteGraph, st: GraphStats) -> tuple[int, int]:
-    """Lexicographically first nonadjacent cross-part pair attaining sigma."""
-    degs = [row.bit_count() for row in g.adj]
-    for u in range(g.num_vertices):
-        for v in range(u + 1, g.num_vertices):
-            if g.part_of(u) != g.part_of(v) and not g.adjacent(u, v):
-                if degs[u] + degs[v] == st.sigma:
-                    return (u, v)
-    raise AssertionError("sigma recorded but no attaining pair found")

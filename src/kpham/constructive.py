@@ -4,9 +4,10 @@ The entry point is solve(), which takes a graph meeting the edge threshold
 and produces a Hamilton cycle by the route matching the instance shape:
 
 * n == 1          edge bound implies the degree-sum condition; rotation build
-* k == 2          bipartite degree-sum closure, then unwind the added edges
-* n == 2          direct closure for small k, induction dropping a part for k >= 5
-* k >= 3, n >= 3  degree-sum shortcut when it applies, otherwise peel a
+* k == 2          degree-sum closure over cross pairs at bound n + 1
+* n == 2          degree-sum closure over all pairs at bound N when the sigma
+                  bound holds, otherwise induction dropping a part
+* k >= 3, n >= 3  all-pairs closure when the sigma bound holds, otherwise peel a
                   transversal path (or two) around a minimum-degree-sum pair,
                   recurse on the balanced remainder, and stitch the pieces
                   along a matching edge of the remainder cycle
@@ -25,9 +26,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .conditions import check_ore, check_theorem2_edges, check_theorem5_sigma, edge_threshold
+from .conditions import check_ore, check_theorem2_edges, edge_threshold, meets_sigma_bound
 from .errors import (
     ConstructionFailed,
     HypothesisNotMet,
@@ -35,7 +36,7 @@ from .errors import (
     KphamError,
     StitchFailed,
 )
-from .graph import KPartiteGraph, bits, from_edge_list, part_masks, stats
+from .graph import GraphStats, KPartiteGraph, add_edge, bits, part_masks, stats
 from .paths import canonical_cycle, validate_hamilton_path, validate_path
 
 logger = logging.getLogger(__name__)
@@ -96,6 +97,8 @@ class SolveResult:
 
 
 def _log_fallback(g: KPartiteGraph, reason: str) -> None:
+    if not logger.isEnabledFor(logging.INFO):
+        return
     edge_text = ";".join(f"{u}-{v}" for u, v in g.edges())
     logger.info(
         "constructive gap: %s [k=%d n=%d m=%d edges=%s]",
@@ -112,20 +115,33 @@ def _log_fallback(g: KPartiteGraph, reason: str) -> None:
 # =====================================================================
 
 
-def _crossing_pair_cycle(adj: Sequence[int], path: list[int]) -> list[int] | None:
+def _close(rows: Sequence[int], path: list[int], bound: int) -> list[int] | None:
     """Close a path into a cycle on the same vertex set.
 
-    If the ends are adjacent the path closes directly. Otherwise look for
-    the first index i with path[0] ~ path[i] and path[-1] ~ path[i-1] and
-    reroute through that crossing; returns None when no index qualifies.
+    If the ends are adjacent the path closes directly. If their degrees sum
+    below bound (0 never refuses), returns None. Otherwise reroute through
+    the first index i with path[0] ~ path[i] and path[-1] ~ path[i-1];
+    returns None when no index qualifies.
     """
-    length = len(path)
     first, last = path[0], path[-1]
-    if adj[first] >> last & 1:
+    if rows[first] >> last & 1:
         return list(path)
-    for i in range(2, length - 1):
-        if adj[first] >> path[i] & 1 and adj[last] >> path[i - 1] & 1:
+    if rows[first].bit_count() + rows[last].bit_count() < bound:
+        return None
+    for i in range(2, len(path) - 1):
+        if rows[first] >> path[i] & 1 and rows[last] >> path[i - 1] & 1:
             return path[:i] + path[i:][::-1]
+    return None
+
+
+def _open_at(cycle: list[int], u: int, v: int) -> list[int] | None:
+    """The Hamilton path from u to v left by dropping the cycle edge (u, v),
+    or None when the cycle does not use that edge."""
+    i = cycle.index(u)
+    if cycle[(i + 1) % len(cycle)] == v:
+        return cycle[i::-1] + cycle[:i:-1]
+    if cycle[i - 1] == v:
+        return cycle[i:] + cycle[:i]
     return None
 
 
@@ -140,14 +156,10 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
     """
     rows = tuple(adj)
     validate_hamilton_path(rows, path)
-    work = list(path)
-    first, last = work[0], work[-1]
-    if rows[first].bit_count() + rows[last].bit_count() < len(rows):
-        raise HypothesisNotMet(
-            f"end degree sum {rows[first].bit_count() + rows[last].bit_count()}"
-            f" is below {len(rows)}"
-        )
-    cyc = _crossing_pair_cycle(rows, work)
+    end_sum = rows[path[0]].bit_count() + rows[path[-1]].bit_count()
+    if end_sum < len(rows):
+        raise HypothesisNotMet(f"end degree sum {end_sum} is below {len(rows)}")
+    cyc = _close(rows, list(path), len(rows))
     if cyc is None:
         raise ConstructionFailed("no crossing pair despite the degree bound")
     return canonical_cycle(cyc)
@@ -172,7 +184,7 @@ def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
     mask = 1
     for _ in range(n_vertices + 1):
         mask = _extend_maximal(rows, path, mask)
-        cyc = _crossing_pair_cycle(rows, path)
+        cyc = _close(rows, path, 0)
         if cyc is None:
             raise ConstructionFailed("stuck path has no crossing pair")
         if len(cyc) == n_vertices:
@@ -217,101 +229,82 @@ def _extend_maximal(adj: tuple[int, ...], path: list[int], mask: int) -> int:
 # degree-sum closure (add virtual edges, build, unwind)
 # =====================================================================
 #
-# Whenever every nonadjacent pair that we are allowed to join has a large
+# Whenever a nonadjacent pair that we are allowed to join has a large
 # enough degree sum, we can add the pair as a virtual edge without changing
-# Hamiltonicity: a cycle through the virtual edge leaves a Hamilton path
-# whose ends met the degree bound at insertion time, and the crossing-pair
-# reroute replaces the virtual edge with real ones. Adding edges only raises
-# degrees, so the process often terminates at a complete (or complete
-# bipartite) graph with an obvious cycle; unwinding the additions in reverse
-# order then yields a cycle of the original graph.
+# Hamiltonicity (Bondy & Chvatal): a cycle through the virtual edge leaves a
+# Hamilton path whose ends met the degree bound at insertion time, and the
+# crossing-pair reroute replaces the virtual edge with real ones. Adding
+# edges only raises degrees, so the process often ends at a graph with an
+# obvious cycle; unwinding the additions in reverse order then yields a
+# cycle of the original graph.
+#
+# One routine serves both closure routes. The n == 2 and general routes
+# may join any pair at bound N and end at the complete graph, whose cycle
+# is 0, 1, ..., N-1. The k == 2 route joins only cross pairs at bound n + 1
+# and ends at the complete bipartite graph with its alternating cycle: on a
+# balanced bipartite graph a Hamilton path left by deleting a cross edge
+# from a Hamilton cycle alternates parts, and ends with degree sum >= n + 1
+# always admit a crossing pair, so the unwind is safe at that lower bound.
 
 
-def _closure_unwind(
-    original: tuple[int, ...],
-    work: list[int],
-    added: list[tuple[int, int]],
-    cycle: list[int],
+def _closure_cycle(
+    adj: Sequence[int], cand: Sequence[int], bound: int, start: list[int]
 ) -> tuple[int, ...] | None:
-    for u, v in reversed(added):
-        work[u] &= ~(1 << v)
-        work[v] &= ~(1 << u)
-        length = len(cycle)
-        iu = cycle.index(u)
-        if cycle[(iu + 1) % length] == v:
-            path = [cycle[(iu - s) % length] for s in range(length)]
-        elif cycle[(iu - 1) % length] == v:
-            path = [cycle[(iu + s) % length] for s in range(length)]
+    """Close adj over the candidate pairs, then unwind start onto adj.
+
+    cand[u] masks the vertices row u may be joined to. Each step joins the
+    lexicographically first open candidate pair (u, v) whose degree sum
+    reaches bound. Once no open candidate pair is left, start (a Hamilton
+    cycle of the closed graph) is carried back by removing the added edges
+    in reverse order and rerouting around each one it uses. Returns None
+    when the closure stops short or a reroute finds no crossing pair.
+    """
+    rows = list(adj)
+    deg = [row.bit_count() for row in rows]
+    added: list[tuple[int, int]] = []
+    u = 0
+    while u < len(rows):
+        for v in bits(cand[u] & ~rows[u]):
+            if deg[u] + deg[v] >= bound:
+                break
         else:
-            continue  # the cycle does not use this virtual edge
-        repaired = _crossing_pair_cycle(work, path)
-        if repaired is None:
-            return None
-        cycle = repaired
+            u += 1
+            continue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+        added.append((u, v))
+        # Only pairs at u or v gained degree, so the next pair to join lies
+        # in the lowest earlier row that now qualifies at u or v, or else
+        # in row u itself.
+        for a in range(u):
+            open_a = cand[a] & ~rows[a]
+            if (open_a >> u & 1 and deg[a] + deg[u] >= bound) or (
+                open_a >> v & 1 and deg[a] + deg[v] >= bound
+            ):
+                u = a
+                break
+    if any(cand[w] & ~rows[w] for w in range(len(rows))):
+        return None
+    cycle = start
+    for u, v in reversed(added):
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        path = _open_at(cycle, u, v)
+        if path is not None:
+            cycle = _close(rows, path, 0)
+            if cycle is None:
+                return None
     return canonical_cycle(cycle)
 
 
-def _closure_cycle_general(adj: Sequence[int]) -> tuple[int, ...] | None:
-    """All-pairs closure at bound N. Returns a cycle of the original graph
-    when the closure reaches the complete graph, else None."""
-    rows = list(adj)
-    n_vertices = len(rows)
-    if n_vertices < 3:
-        return None
-    full = (1 << n_vertices) - 1
-    added: list[tuple[int, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n_vertices):
-            cand = ~rows[u] & full & ~((1 << (u + 1)) - 1)
-            for v in bits(cand):
-                if rows[u].bit_count() + rows[v].bit_count() >= n_vertices:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    added.append((u, v))
-                    changed = True
-                    break
-            if changed:
-                break
-    for u in range(n_vertices):
-        if rows[u] != full ^ (1 << u):
-            return None
-    return _closure_unwind(tuple(adj), rows, added, list(range(n_vertices)))
-
-
-def _closure_cycle_bipartite(g: KPartiteGraph) -> tuple[int, ...] | None:
-    """Cross-pair closure for k == 2 at bound n + 1.
-
-    On a balanced bipartite graph a Hamilton path produced by deleting a
-    cross edge from a Hamilton cycle alternates parts, and ends with degree
-    sum >= n + 1 always admit a crossing pair, so the unwind is safe at
-    this lower bound.
-    """
-    n = g.n
-    rows = list(g.adj)
-    added: list[tuple[int, int]] = []
-    part1 = part_masks(2, n)[1]
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            cand = ~rows[u] & part1
-            for v in bits(cand):
-                if rows[u].bit_count() + rows[v].bit_count() >= n + 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    added.append((u, v))
-                    changed = True
-                    break
-            if changed:
-                break
-    if any(rows[u] != part1 for u in range(n)):
-        return None
-    start = []
-    for i in range(n):
-        start.extend((i, n + i))
-    return _closure_unwind(g.adj, rows, added, start)
+def _complete_closure(g: KPartiteGraph) -> tuple[int, ...] | None:
+    """All-pairs closure at bound N, started from the cycle 0, 1, ..., N-1."""
+    count = g.num_vertices
+    full = (1 << count) - 1
+    above = [full ^ ((2 << u) - 1) for u in range(count)]
+    return _closure_cycle(g.adj, above, count, list(range(count)))
 
 
 # =====================================================================
@@ -494,58 +487,39 @@ def stitch_matching(
 # =====================================================================
 
 
-def _remove_vertices_relabel(
-    g: KPartiteGraph, drop: set[int]
+def _induced(
+    g: KPartiteGraph, drop: Iterable[int], k: int, n: int
 ) -> tuple[KPartiteGraph, list[int]]:
-    """Induced subgraph on the kept vertices, compacted to balanced ids.
+    """Subgraph induced on the vertices outside drop, relabelled in
+    ascending order as an n-balanced k-partite graph.
 
-    Every part must lose the same number of vertices. Returns the subgraph
-    and the kept original ids in new-id order.
+    Every part must keep n vertices or none, so the relabelled parts line up
+    with the original ones. Returns the subgraph and the kept original ids
+    in new-id order.
     """
-    keep = [v for v in range(g.num_vertices) if v not in drop]
-    per_part = [0] * g.k
+    mask = 0
     for v in drop:
-        per_part[v // g.n] += 1
-    if len(set(per_part)) != 1:
+        mask |= 1 << v
+    if any((block & ~mask).bit_count() not in (0, n) for block in part_masks(g.k, g.n)):
         raise ConstructionFailed("vertex removal would unbalance the parts")
-    new_n = g.n - per_part[0]
-    new_id = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges()
-        if u in new_id and v in new_id
-    ]
-    return from_edge_list(g.k, new_n, edges), keep
+    keep = [v for v in range(g.num_vertices) if not mask >> v & 1]
+    gaps = sorted(bits(mask), reverse=True)
+    rows = []
+    for v in keep:
+        row = g.adj[v]
+        for d in gaps:
+            below = (1 << d) - 1
+            row = row & below | row >> 1 & ~below
+        rows.append(row)
+    return KPartiteGraph(k, n, tuple(rows)), keep
 
 
-def _remove_part_relabel(
-    g: KPartiteGraph, part: int
-) -> tuple[KPartiteGraph, list[int]]:
-    """Induced subgraph with one whole part removed, compacted to k-1 parts."""
-    keep = [v for v in range(g.num_vertices) if v // g.n != part]
-    new_id = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (new_id[u], new_id[v])
-        for u, v in g.edges()
-        if u in new_id and v in new_id
-    ]
-    return from_edge_list(g.k - 1, g.n, edges), keep
-
-
-def _sigma_pair(g: KPartiteGraph) -> tuple[int, int]:
-    """Lexicographically first nonadjacent cross-part pair attaining the
-    degree-sum minimum, ordered with the lower-degree endpoint first."""
-    st = stats(g)
-    degs = [row.bit_count() for row in g.adj]
-    for u in range(g.num_vertices):
-        for v in range(u + 1, g.num_vertices):
-            if u // g.n == v // g.n or g.adj[u] >> v & 1:
-                continue
-            if degs[u] + degs[v] == st.sigma:
-                if degs[v] < degs[u]:
-                    return v, u
-                return u, v
-    raise HypothesisNotMet("graph is complete multipartite; no nonadjacent pair")
+def _sigma_pair(g: KPartiteGraph, st: GraphStats) -> tuple[int, int]:
+    """st.sigma_pair ordered with the lower-degree endpoint first."""
+    u, v = st.sigma_pair
+    if g.degree(v) < g.degree(u):
+        return v, u
+    return u, v
 
 
 def _complete_between_rest(g: KPartiteGraph, x: int, y: int) -> bool:
@@ -583,7 +557,10 @@ def _solve_n1(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
 
 def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
     trace.append(BASE_K2)
-    cyc = _closure_cycle_bipartite(g)
+    n = g.n
+    part1 = part_masks(2, n)[1]
+    alternating = [v for i in range(n) for v in (i, n + i)]
+    cyc = _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating)
     if cyc is None:
         _log_fallback(g, "bipartite closure did not complete")
         return None
@@ -593,18 +570,21 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
 
 def _solve_n2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
     trace.append(BASE_N2)
-    if check_theorem5_sigma(g):
-        cyc = _closure_cycle_general(g.adj)
+    st = stats(g)
+    if meets_sigma_bound(g.k, g.n, st.sigma):
+        cyc = _complete_closure(g)
         if cyc is not None:
             trace.append(LEMMA_CLOSURE)
             return cyc
         # The closure can stall only when some pair sums to exactly 2k-1
         # (k=4 admits that under the sigma bound); the induction below
         # covers that shape, so fall through rather than give up.
-    return _solve_n2_induction(g, trace)
+    return _solve_n2_induction(g, st, trace)
 
 
-def _solve_n2_induction(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
+def _solve_n2_induction(
+    g: KPartiteGraph, st: GraphStats, trace: list[str]
+) -> tuple[int, ...] | None:
     """k >= 3, n == 2, degree-sum minimum exactly 2k-1.
 
     Outside the minimizing pair the graph must be complete multipartite;
@@ -613,15 +593,15 @@ def _solve_n2_induction(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] |
     cycle (or reroute when its neighbors are separated), and finish by
     closing a Hamilton path that picks up the endpoint's part twin.
     """
-    st = stats(g)
     if st.sigma != 2 * g.k - 1:
         _log_fallback(g, f"unexpected degree-sum minimum {st.sigma} at n=2")
         return None
-    low, high = _sigma_pair(g)
+    low, high = _sigma_pair(g, st)
     if not _complete_between_rest(g, low, high):
         _log_fallback(g, "graph minus the minimizing pair is not complete")
         return None
-    sub, keep = _remove_part_relabel(g, low // g.n)
+    part = low // g.n
+    sub, keep = _induced(g, range(part * g.n, (part + 1) * g.n), g.k - 1, g.n)
     if sub.edge_count < edge_threshold(g.k - 1, 2):
         _log_fallback(g, "part-removal remainder below threshold")
         return None
@@ -646,7 +626,6 @@ def _attach_pair_and_close(
     g: KPartiteGraph, cyc: list[int], low: int, twin: int
 ) -> tuple[int, ...] | None:
     rows = g.adj
-    n_vertices = g.num_vertices
     length = len(cyc)
     pos = {v: i for i, v in enumerate(cyc)}
     nbr_pos = sorted(pos[w] for w in bits(rows[low]) if w in pos)
@@ -668,60 +647,46 @@ def _attach_pair_and_close(
     # v back down to u's successor, and close the path.
     for i in nbr_pos:
         for j in nbr_pos:
-            if i == j:
+            if i == j or not rows[twin] >> cyc[(j + 1) % length] & 1:
                 continue
-            succ = cyc[(j + 1) % length]
-            if not rows[twin] >> succ & 1:
-                continue
-            seg1 = [cyc[(j + 1 + s) % length] for s in range((i - j) % length)]
-            seg2 = [cyc[(j - s) % length] for s in range((j - i) % length)]
-            pathway = [twin] + seg1 + [low] + seg2
-            end = pathway[-1]
-            if rows[twin] >> end & 1:
-                return canonical_cycle(pathway)
-            if rows[twin].bit_count() + rows[end].bit_count() >= n_vertices:
-                closed = _crossing_pair_cycle(rows, pathway)
-                if closed is not None:
-                    return canonical_cycle(closed)
+            ring = cyc[j + 1 :] + cyc[: j + 1]
+            cut = (i - j) % length
+            pathway = [twin] + ring[:cut] + [low] + ring[cut:][::-1]
+            closed = _close(rows, pathway, g.num_vertices)
+            if closed is not None:
+                return canonical_cycle(closed)
     return None
 
 
 def _attach_last_and_close(
     g: KPartiteGraph, cyc: list[int], last: int, avoid_end: int
 ) -> tuple[int, ...] | None:
-    """Prepend `last` to a break of the cycle and close the Hamilton path."""
-    rows = g.adj
-    n_vertices = g.num_vertices
-    length = len(cyc)
+    """Prepend `last` to a break of the cycle next to one of its neighbors
+    and close the Hamilton path."""
     pos = {v: i for i, v in enumerate(cyc)}
-    for z in bits(rows[last]):
+    for z in bits(g.adj[last]):
         if z not in pos:
             continue
-        zi = pos[z]
-        for step in (1, -1):
-            other = cyc[(zi + step) % length]
+        i = pos[z]
+        for other in (cyc[(i + 1) % len(cyc)], cyc[i - 1]):
             if other == avoid_end:
                 continue
-            walk = [cyc[(zi - step * s) % length] for s in range(length)]
-            pathway = [last] + walk
-            if rows[last] >> other & 1:
-                return canonical_cycle(pathway)
-            if rows[last].bit_count() + rows[other].bit_count() >= n_vertices:
-                closed = _crossing_pair_cycle(rows, pathway)
-                if closed is not None:
-                    return canonical_cycle(closed)
+            closed = _close(g.adj, [last] + _open_at(cyc, z, other), g.num_vertices)
+            if closed is not None:
+                return canonical_cycle(closed)
     return None
 
 
 def _solve_general(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
-    if check_theorem5_sigma(g):
-        cyc = _closure_cycle_general(g.adj)
+    st = stats(g)
+    if meets_sigma_bound(g.k, g.n, st.sigma):
+        cyc = _complete_closure(g)
         if cyc is not None:
             trace.append(LEMMA_CLOSURE)
             return cyc
         _log_fallback(g, "degree-sum closure did not complete")
         return None
-    anchor, avoid = _sigma_pair(g)
+    anchor, avoid = _sigma_pair(g, st)
     nbr_parts = {w // g.n for w in bits(g.adj[anchor])}
     if len(nbr_parts) >= 2:
         return _case_spread(g, anchor, avoid, trace)
@@ -750,7 +715,7 @@ def _case_spread(
     except KphamError as exc:
         _log_fallback(g, f"transversal path failed: {exc}")
         return None
-    sub, keep = _remove_vertices_relabel(g, set(pathway))
+    sub, keep = _induced(g, pathway, k, n - 1)
     missing = sub.host_edge_count() - sub.edge_count
     if missing > (k - 1) * (n - 1) - 2:
         _log_fallback(g, f"remainder misses {missing} edges, beyond the bound")
@@ -792,7 +757,7 @@ def _case_concentrated(
     except KphamError as exc:
         _log_fallback(g, f"two-path construction failed: {exc}")
         return None
-    sub, keep = _remove_vertices_relabel(g, set(path_one) | set(path_two))
+    sub, keep = _induced(g, path_one + path_two, k, n - 2)
     if sub.edge_count < edge_threshold(k, n - 2):
         _log_fallback(g, "two-path remainder below threshold")
         return None
@@ -863,7 +828,7 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
         return SolveResult(None, (), FAIL_HYPOTHESIS)
 
     trace: list[str] = [T11_ADD_EDGE]
-    low, high = _sigma_pair(g)
+    low, high = st.sigma_pair
     blocked = (1 << low) | (1 << high)
     blocks = part_masks(g.k, g.n)
     full = (1 << g.num_vertices) - 1
@@ -879,24 +844,16 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
     if extra is None:
         return _finish_with_search(g, trace, "every missing edge touches the pair")
 
-    from .graph import add_edge  # local import keeps module load order simple
-
     augmented = add_edge(g, *extra)
     sub_result = solve(augmented)
     trace.extend(sub_result.trace)
     if sub_result.cycle is None:
         return _finish_with_search(g, trace, "augmented solve failed")
     cyc = list(sub_result.cycle)
-    if not _cycle_uses_edge(cyc, extra):
+    pathway = _open_at(cyc, *extra)
+    if pathway is None:
         return SolveResult(canonical_cycle(cyc), tuple(trace), None)
-    a, b = extra
-    length = len(cyc)
-    ia = cyc.index(a)
-    if cyc[(ia + 1) % length] == b:
-        pathway = [cyc[(ia - s) % length] for s in range(length)]
-    else:
-        pathway = [cyc[(ia + s) % length] for s in range(length)]
-    rerouted = _crossing_pair_cycle(g.adj, pathway)
+    rerouted = _close(g.adj, pathway, 0)
     if rerouted is not None:
         trace.append(LEMMA_CLOSURE)
         return SolveResult(canonical_cycle(rerouted), tuple(trace), None)
@@ -912,13 +869,6 @@ def _finish_with_search(
     if found is None:
         return SolveResult(None, tuple(trace), FAIL_NOT_HAMILTONIAN)
     return SolveResult(canonical_cycle(found), tuple(trace), None)
-
-
-def _cycle_uses_edge(cyc: list[int], edge: tuple[int, int]) -> bool:
-    a, b = edge
-    length = len(cyc)
-    ia = cyc.index(a)
-    return cyc[(ia + 1) % length] == b or cyc[(ia - 1) % length] == b
 
 
 # =====================================================================

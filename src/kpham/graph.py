@@ -50,12 +50,15 @@ class GraphStats:
 
     sigma is the minimum of degree(u) + degree(v) over nonadjacent pairs
     in distinct parts, or SIGMA_INFINITY when the graph is complete
-    multipartite and no such pair exists.
+    multipartite and no such pair exists. sigma_pair is the
+    lexicographically first such pair (u < v) attaining sigma, or None
+    exactly when sigma is SIGMA_INFINITY.
     """
 
     edge_count: int
     min_degree: int
     sigma: int | float
+    sigma_pair: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -207,9 +210,11 @@ def remove_edges(
 
 def stats(g: KPartiteGraph) -> GraphStats:
     """Edge count, minimum degree, and the nonadjacent cross-part degree-sum
-    minimum (SIGMA_INFINITY when the graph is complete multipartite)."""
+    minimum (SIGMA_INFINITY when the graph is complete multipartite) with
+    the first pair attaining it."""
     degs = [row.bit_count() for row in g.adj]
     sigma: int | float = SIGMA_INFINITY
+    sigma_pair = None
     count = g.num_vertices
     for u in range(count):
         # Nonadjacent cross-part partners above u: everything except u's own
@@ -219,11 +224,12 @@ def stats(g: KPartiteGraph) -> GraphStats:
         for v in bits(others):
             pair = degs[u] + degs[v]
             if pair < sigma:
-                sigma = pair
+                sigma, sigma_pair = pair, (u, v)
     return GraphStats(
         edge_count=sum(degs) // 2,
         min_degree=min(degs) if degs else 0,
         sigma=sigma,
+        sigma_pair=sigma_pair,
     )
 
 

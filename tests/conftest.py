@@ -37,6 +37,19 @@ def naive_sigma(k: int, n: int, edges) -> float:
     return best
 
 
+def naive_sigma_pair(k: int, n: int, edges) -> tuple[int, int] | None:
+    """Lexicographically first nonadjacent cross-part pair whose degree sum
+    equals naive_sigma, by double loop; None when there is no such pair."""
+    adj = naive_adjacency(k, n, edges)
+    best = naive_sigma(k, n, edges)
+    for u in range(k * n):
+        for v in range(u + 1, k * n):
+            if u // n != v // n and v not in adj[u]:
+                if len(adj[u]) + len(adj[v]) == best:
+                    return (u, v)
+    return None
+
+
 def perm_hamiltonian(rows) -> bool:
     """Hamiltonicity by brute permutation; only sane for ~8 vertices."""
     n = len(rows)

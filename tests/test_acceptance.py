@@ -53,6 +53,11 @@ def sweep_4_2():
     return _timed(enumerate_threshold_sweep, 4, 2)
 
 
+@pytest.fixture(scope="module")
+def sweep_3_3():
+    return _timed(enumerate_threshold_sweep, 3, 3)
+
+
 def _report(number: int, ok: bool, detail: str) -> None:
     print(f"criterion {number}: {'PASS' if ok else 'FAIL'} — {detail}")
 
@@ -338,5 +343,30 @@ def test_criterion_10_branch_telemetry(sweep_3_2, sweep_2_3, sweep_4_2):
         "fallback-free fractions "
         + ", ".join(f"{lbl} {frac:.4f}" for lbl, frac in fractions.items())
         + " (reported, reproducible; no hard threshold)",
+    )
+    assert ok
+
+
+def test_criterion_11_exhaustive_3_3(sweep_3_3):
+    # (3,3) is the smallest shape whose sweep reaches Case1, Case2,
+    # MatchStitch and the vertex-removal relabel. The 36 Case2 fallbacks
+    # are known constructive gaps (two-path remainder below threshold);
+    # the bound may only go down.
+    summary, elapsed = sweep_3_3
+    ok = (
+        summary.total == 20854
+        and summary.hamiltonian == 20854
+        and summary.counterexamples == ()
+        and summary.solver_fallbacks <= 36
+        and elapsed < 180.0
+    )
+    tag_text = ", ".join(f"{tag}={count}" for tag, count in summary.branch_tags)
+    print(f"telemetry (3,3): fallbacks {summary.solver_fallbacks}; tags: {tag_text}")
+    _report(
+        11,
+        ok,
+        f"(3,3) sweep at >=23 edges: {summary.hamiltonian}/{summary.total}"
+        f" hamiltonian, {len(summary.counterexamples)} counterexamples,"
+        f" {summary.solver_fallbacks} fallbacks <= 36 [{elapsed:.1f}s < 180s]",
     )
     assert ok

@@ -40,7 +40,7 @@ from kpham import (
     tight_non_hamiltonian,
     validate_hamilton_cycle,
 )
-from kpham.constructive import TRACE_TAGS
+from kpham.constructive import TRACE_TAGS, _closure_cycle
 from kpham.graph import adjacency_from_edges
 from kpham.oracle import is_hamiltonian
 
@@ -238,6 +238,79 @@ class TestStitch:
             stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
 
 
+def _restart_closure_cycle(adj, cand, bound, start):
+    """Reference closure: rescan every pair from row 0 after each join,
+    then undo the joins in reverse order with index walks and the first
+    crossing pair."""
+    rows = list(adj)
+    count = len(rows)
+
+    def open_pairs():
+        for u in range(count):
+            for v in range(count):
+                if cand[u] >> v & 1 and not rows[u] >> v & 1:
+                    yield u, v
+
+    added = []
+    while True:
+        pair = next(
+            ((u, v) for u, v in open_pairs()
+             if rows[u].bit_count() + rows[v].bit_count() >= bound),
+            None,
+        )
+        if pair is None:
+            break
+        u, v = pair
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        added.append(pair)
+    if next(open_pairs(), None) is not None:
+        return None
+    cycle = list(start)
+    for u, v in reversed(added):
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        i = cycle.index(u)
+        if cycle[(i + 1) % count] == v:
+            path = [cycle[(i - s) % count] for s in range(count)]
+        elif cycle[(i - 1) % count] == v:
+            path = [cycle[(i + s) % count] for s in range(count)]
+        else:
+            continue
+        first, last = path[0], path[-1]
+        cross = next(
+            (j for j in range(2, count - 1)
+             if rows[first] >> path[j] & 1 and rows[last] >> path[j - 1] & 1),
+            None,
+        )
+        if cross is None:
+            return None
+        cycle = path[:cross] + path[cross:][::-1]
+    return canonical_cycle(cycle)
+
+
+class TestClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(partite_graphs(max_k=4, max_n=3))
+    def test_matches_restart_closure(self, g):
+        # Below the threshold the closure often stops short or joins pairs
+        # in an order that threshold inputs never reach; both must match
+        # the restart-from-row-0 reference exactly.
+        count = g.num_vertices
+        if count < 3:
+            return
+        full = (1 << count) - 1
+        shapes = [([full ^ ((2 << u) - 1) for u in range(count)], count, list(range(count)))]
+        if g.k == 2 and g.n >= 2:
+            part1 = full ^ ((1 << g.n) - 1)
+            alternating = [v for i in range(g.n) for v in (i, g.n + i)]
+            shapes.append(([part1] * g.n + [0] * g.n, g.n + 1, alternating))
+        for cand, bound, start in shapes:
+            assert _closure_cycle(g.adj, cand, bound, list(start)) == (
+                _restart_closure_cycle(g.adj, cand, bound, start)
+            )
+
+
 class TestSolve:
     def test_too_small(self):
         r = solve(new_complete(2, 1))
@@ -369,11 +442,11 @@ class TestSolveTheorem11:
 #
 # Byte-for-byte pins of solve(), solve_theorem11() and evaluate() on a seeded
 # instance set that reaches every route: BaseN1/OreRotation, BaseK2, the
-# BaseN2 closure, the BaseN2 part-removal induction (both the consecutive-
-# neighbour insert and the reroute, with and without a crossing pair), Case1
-# with MatchStitch, Case2 (including a SearchFallback), and Theorem 11 with
-# the virtual edge unused and rerouted. Any refactor of the solver must keep
-# these strings exactly.
+# BaseN2 closure, the BaseN2 part-removal induction (the consecutive-
+# neighbour insert with and without a crossing pair, and the reroute),
+# Case1 with MatchStitch, Case2 (including a SearchFallback), and Theorem 11
+# with the virtual edge unused and rerouted. Any refactor of the solver must
+# keep these strings exactly.
 
 GOLDEN_SHAPES = (
     (3, 1), (5, 1), (8, 1), (2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (5, 2),
@@ -431,6 +504,13 @@ GOLDEN_LITERALS = [
         5, 2, [(2, 6), (4, 6), (5, 8), (6, 8), (6, 9), (7, 8)],
         'cycle 0 7 9 5 2 1 6 3 4 8\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
         'cycle 0 7 9 5 3 6 1 2 4 8\ntrace T11AddEdge,BaseN2,BaseN2,LemmaClosure,LemmaClosure,LemmaClosure\n',
+    ),
+    (
+        # sigma pair (2, 4) is reordered so the lower-degree vertex 4 leads
+        # and its part is the one dropped
+        5, 2, [(0, 2), (0, 4), (2, 4), (2, 6), (4, 7), (4, 9)],
+        'cycle 0 5 7 8 4 6 3 1 2 9\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 8 5 3 7 2 1 4 6 9\ntrace T11AddEdge,SearchFallback\n',
     ),
     (
         3, 3, [(0, 4), (0, 6), (0, 8), (1, 8)],

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_sigma, partite_graphs
+from conftest import naive_sigma, naive_sigma_pair, partite_graphs
 from kpham import (
     MAX_VERTICES,
     SIGMA_INFINITY,
@@ -122,6 +122,21 @@ class TestStats:
     @given(partite_graphs())
     def test_sigma_matches_naive(self, g: KPartiteGraph):
         assert stats(g).sigma == naive_sigma(g.k, g.n, g.edges())
+
+    @settings(max_examples=120, deadline=None)
+    @given(partite_graphs())
+    def test_sigma_pair_matches_naive(self, g: KPartiteGraph):
+        st_ = stats(g)
+        assert st_.sigma_pair == naive_sigma_pair(g.k, g.n, g.edges())
+        assert (st_.sigma_pair is None) == (st_.sigma == SIGMA_INFINITY)
+
+    def test_handmade_sigma_pair(self):
+        # missing (0,2), (1,4), (1,5): d(1) = 2 and the rest have degree 3,
+        # so (0,2) sums to 6 while (1,4) and (1,5) tie at 5; the first wins
+        g, _ = remove_edges(new_complete(3, 2), [(0, 2), (1, 4), (1, 5)])
+        st_ = stats(g)
+        assert (st_.sigma, st_.sigma_pair) == (5, (1, 4))
+        assert stats(new_complete(3, 2)).sigma_pair is None
 
     @settings(max_examples=120, deadline=None)
     @given(partite_graphs())
