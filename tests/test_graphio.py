@@ -60,31 +60,52 @@ def test_round_trip_any_graph(g):
     assert write_graph(back) == write_graph(g)
 
 
+def _error(text, line, message, label):
+    """A parse-error case: the input, the 1-based line the error names, and
+    its full message; the test id is the input, the line and a short label."""
+    return pytest.param(text, line, message, id=f"{text}-{line}-{label}")
+
+
 @pytest.mark.parametrize(
-    ("text", "line", "fragment"),
+    ("text", "line", "message"),
     [
-        ("partite 2 2 0\n", 1, "expected header"),
-        ("kpartite 2 2\n", 1, "expected header"),
-        ("kpartite two 2 0\n", 1, "not an integer"),
-        ("kpartite 2 2 -1\n", 1, "negative"),
-        ("kpartite 2 2 2\n0 2", 2, "file ends after 1 of 2"),
-        ("kpartite 2 2 2\n0 2\n\n1 3\n", 3, "blank line after 1 of 2"),
-        ("kpartite 2 2 1\n0 2 3\n", 2, "two endpoints"),
-        ("kpartite 2 2 1\n0 x\n", 2, "not an integer"),
-        ("kpartite 2 2 1\n2 0\n", 2, "0 <= u < v < 4"),
-        ("kpartite 2 2 1\n0 4\n", 2, "0 <= u < v < 4"),
-        ("kpartite 2 2 1\n1 1\n", 2, "0 <= u < v < 4"),
-        ("kpartite 2 2 1\n0 1\n", 2, "same part"),
-        ("kpartite 2 2 2\n0 2\n0 2\n", 3, "duplicate edge 0 2"),
-        ("kpartite 1 2 0\n", 1, "at least 2 parts"),
-        ("kpartite 9 9 0\n", 1, "cap 64"),
+        _error("partite 2 2 0\n", 1, "expected header 'kpartite <k> <n> <m>'", "expected header"),
+        _error("kpartite 2 2\n", 1, "expected header 'kpartite <k> <n> <m>'", "expected header"),
+        _error("kpartite two 2 0\n", 1, "not an integer: 'two'", "not an integer"),
+        _error("kpartite 2 2 -1\n", 1, "edge count may not be negative", "negative"),
+        _error("kpartite 2 2 2\n0 2", 2, "file ends after 1 of 2 edges", "file ends after 1 of 2"),
+        _error("kpartite 2 2 2\n0 2\n\n1 3\n", 3, "blank line after 1 of 2 edges", "blank line after 1 of 2"),
+        _error("kpartite 2 2 1\n0 2 3\n", 2, "expected two endpoints", "two endpoints"),
+        _error("kpartite 2 2 1\n0 x\n", 2, "not an integer: 'x'", "not an integer"),
+        _error("kpartite 2 2 1\n2 0\n", 2, "endpoints must satisfy 0 <= u < v < 4, got 2 0", "0 <= u < v < 4"),
+        _error("kpartite 2 2 1\n0 4\n", 2, "endpoints must satisfy 0 <= u < v < 4, got 0 4", "0 <= u < v < 4"),
+        _error("kpartite 2 2 1\n1 1\n", 2, "endpoints must satisfy 0 <= u < v < 4, got 1 1", "0 <= u < v < 4"),
+        _error("kpartite 2 2 1\n0 1\n", 2, "0 and 1 sit in the same part", "same part"),
+        _error("kpartite 2 2 2\n0 2\n0 2\n", 3, "duplicate edge 0 2", "duplicate edge 0 2"),
+        _error("kpartite 1 2 0\n", 1, "need at least 2 parts, got k=1", "at least 2 parts"),
+        _error("kpartite 9 9 0\n", 1, "k*n=81 exceeds the bit-matrix cap 64", "cap 64"),
+        _error("kpartite 1 100 0\n", 1, "k*n=100 exceeds the bit-matrix cap 64", "cap before k"),
+        _error("kpartite 2 0 0\n", 1, "need at least 1 vertex per part, got n=0", "at least 1 vertex"),
+        _error("kpartite 2 2 2\r\n0 2\r\n0 2\r\n", 3, "duplicate edge 0 2", "crlf"),
+        _error("kpartite 2 2 1\n0\t1\n", 2, "0 and 1 sit in the same part", "tab"),
+        _error("kpartite 2 2 2\n0 2\n   # note\n0 2\n", 4, "duplicate edge 0 2", "indented comment"),
+        _error("kpartite 2 2 1\n0 #2\n", 2, "not an integer: '#2'", "hash token"),
+        _error("kpartite 2 2 2\n+1 3\n1 +3\n", 3, "duplicate edge 1 3", "plus sign"),
+        _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3", 5, "file ends after 1 of 2 edges", "second graph ends"),
+        _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3\n", 6, "blank line after 1 of 2 edges", "second graph newline"),
     ],
 )
-def test_format_errors_carry_line_numbers(text, line, fragment):
+def test_format_errors_carry_line_numbers(text, line, message):
     with pytest.raises(GraphFormatError) as exc_info:
         parse_graphs(text)
     assert exc_info.value.line == line
-    assert fragment in str(exc_info.value)
+    assert exc_info.value.message == message
+    assert str(exc_info.value) == f"line {line}: {message}"
+
+
+def test_whitespace_variants_parse():
+    text = "  kpartite\t2 2 2 \r\n\t# note\r\n+1\t3\r\n 0   2\r\n"
+    assert parse_graph(text).edges() == [(0, 2), (1, 3)]
 
 
 def test_error_context_in_later_graph():
