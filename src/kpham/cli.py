@@ -11,6 +11,7 @@ All output is deterministic for a fixed command line and input.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -144,7 +145,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parse_args never changes the parser."""
     parser = argparse.ArgumentParser(
         prog="kpham",
         description="Hamilton cycles in balanced k-partite graphs at the"

@@ -44,6 +44,17 @@ def part_masks(k: int, n: int) -> tuple[int, ...]:
     return tuple(block << (i * n) for i in range(k))
 
 
+def check_shape(k: int, n: int) -> None:
+    """Raise TooLarge if k*n passes MAX_VERTICES, else InvalidGraph for fewer
+    than 2 parts or 1 vertex per part; callers run it before allocating."""
+    if k * n > MAX_VERTICES:
+        raise TooLarge(f"k*n={k * n} exceeds the bit-matrix cap {MAX_VERTICES}")
+    if k < 2:
+        raise InvalidGraph(f"need at least 2 parts, got k={k}")
+    if n < 1:
+        raise InvalidGraph(f"need at least 1 vertex per part, got n={n}")
+
+
 @dataclass(frozen=True)
 class GraphStats:
     """Degree-level summary used by all sufficient-condition checks.
@@ -75,13 +86,8 @@ class KPartiteGraph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise InvalidGraph(f"need at least 2 parts, got k={self.k}")
-        if self.n < 1:
-            raise InvalidGraph(f"need at least 1 vertex per part, got n={self.n}")
+        check_shape(self.k, self.n)
         count = self.k * self.n
-        if count > MAX_VERTICES:
-            raise TooLarge(f"k*n={count} exceeds the bit-matrix cap {MAX_VERTICES}")
         if len(self.adj) != count:
             raise InvalidGraph(f"adjacency has {len(self.adj)} rows, expected {count}")
         full = (1 << count) - 1
@@ -137,8 +143,7 @@ class KPartiteGraph:
 
 def new_complete(k: int, n: int) -> KPartiteGraph:
     """The complete n-balanced k-partite graph: every cross-part pair joined."""
-    if k * n > MAX_VERTICES:
-        raise TooLarge(f"k*n={k * n} exceeds the bit-matrix cap {MAX_VERTICES}")
+    check_shape(k, n)
     blocks = part_masks(k, n)
     full = (1 << (k * n)) - 1
     adj = tuple(full ^ blocks[v // n] for v in range(k * n))
@@ -151,9 +156,8 @@ def from_edge_list(k: int, n: int, edges: Iterable[tuple[int, int]]) -> KPartite
     Duplicates are collapsed. Rejects loops, out-of-range ids, and
     intra-part pairs, naming the offending edge.
     """
+    check_shape(k, n)
     count = k * n
-    if count > MAX_VERTICES:
-        raise TooLarge(f"k*n={count} exceeds the bit-matrix cap {MAX_VERTICES}")
     rows = [0] * count
     for u, v in edges:
         if not (0 <= u < count and 0 <= v < count):

@@ -9,12 +9,17 @@ Full-line comments start with '#'. Files may hold several graphs separated
 by one or more blank lines. Parsing is strict: every violation names the
 1-based line it happened on, and writing always emits edges in ascending
 order with a trailing newline, so write o parse round-trips bytes exactly.
+
+Parsing is one pass: each header's shape is checked (graph.check_shape) on
+its own line before anything is allocated or any edge line read, and each
+edge is checked once and ORed straight into the adjacency rows that the
+KPartiteGraph constructor then validates.
 """
 
 from __future__ import annotations
 
 from .errors import GraphFormatError, InvalidGraph, TooLarge
-from .graph import KPartiteGraph, from_edge_list
+from .graph import KPartiteGraph, check_shape
 
 HEADER_WORD = "kpartite"
 
@@ -33,59 +38,57 @@ def parse_graphs(text: str) -> list[KPartiteGraph]:
     """Parse every graph in the text, in order of appearance."""
     lines = text.split("\n")
     graphs: list[KPartiteGraph] = []
-    i = 0
-    while i < len(lines):
-        raw = lines[i].strip()
-        if not raw or raw.startswith("#"):
-            i += 1
+    # The graph being read: shape, edge count m, edges read so far, rows.
+    k = n = m = got = count = 0
+    rows: list[int] = []
+    for line_no, line in enumerate(lines, 1):
+        tokens = line.split()
+        if tokens and tokens[0].startswith("#"):
             continue
-        header_no = i + 1
-        tokens = raw.split()
-        if tokens[0] != HEADER_WORD or len(tokens) != 4:
-            raise GraphFormatError(
-                header_no, f"expected header '{HEADER_WORD} <k> <n> <m>'"
-            )
-        k, n, m = _ints(tokens[1:], header_no)
-        if m < 0:
-            raise GraphFormatError(header_no, "edge count may not be negative")
-        i += 1
-        edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        while len(edges) < m:
-            if i >= len(lines):
-                raise GraphFormatError(
-                    len(lines), f"file ends after {len(edges)} of {m} edges"
-                )
-            raw = lines[i].strip()
-            line_no = i + 1
-            i += 1
-            if raw.startswith("#"):
-                continue
-            if not raw:
-                raise GraphFormatError(
-                    line_no, f"blank line after {len(edges)} of {m} edges"
-                )
-            tokens = raw.split()
+        if got < m:
+            if not tokens:
+                raise GraphFormatError(line_no, f"blank line after {got} of {m} edges")
             if len(tokens) != 2:
                 raise GraphFormatError(line_no, "expected two endpoints")
-            u, v = _ints(tokens, line_no)
-            if not 0 <= u < v < k * n:
+            tok = tokens[0]
+            try:
+                u = int(tok)
+                tok = tokens[1]
+                v = int(tok)
+            except ValueError:
+                raise GraphFormatError(line_no, f"not an integer: {tok!r}") from None
+            if not 0 <= u < v < count:
                 raise GraphFormatError(
-                    line_no,
-                    f"endpoints must satisfy 0 <= u < v < {k * n}, got {u} {v}",
+                    line_no, f"endpoints must satisfy 0 <= u < v < {count}, got {u} {v}"
                 )
-            if n and u // n == v // n:
-                raise GraphFormatError(
-                    line_no, f"{u} and {v} sit in the same part"
-                )
-            if (u, v) in seen:
+            if u // n == v // n:
+                raise GraphFormatError(line_no, f"{u} and {v} sit in the same part")
+            if rows[u] >> v & 1:
                 raise GraphFormatError(line_no, f"duplicate edge {u} {v}")
-            seen.add((u, v))
-            edges.append((u, v))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            got += 1
+            if got == m:
+                graphs.append(KPartiteGraph(k, n, tuple(rows)))
+            continue
+        if not tokens:
+            continue
+        if tokens[0] != HEADER_WORD or len(tokens) != 4:
+            raise GraphFormatError(line_no, f"expected header '{HEADER_WORD} <k> <n> <m>'")
+        k, n, m = _ints(tokens[1:], line_no)
+        if m < 0:
+            raise GraphFormatError(line_no, "edge count may not be negative")
         try:
-            graphs.append(from_edge_list(k, n, edges))
+            check_shape(k, n)
         except (InvalidGraph, TooLarge) as exc:
-            raise GraphFormatError(header_no, str(exc)) from None
+            raise GraphFormatError(line_no, str(exc)) from None
+        count = k * n
+        rows = [0] * count
+        got = 0
+        if m == 0:
+            graphs.append(KPartiteGraph(k, n, tuple(rows)))
+    if got < m:
+        raise GraphFormatError(len(lines), f"file ends after {got} of {m} edges")
     return graphs
 
 

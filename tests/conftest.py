@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import strategies as st
 
-from kpham import KPartiteGraph, from_edge_list, new_complete
+from kpham import MAX_VERTICES, GraphFormatError, KPartiteGraph, from_edge_list, new_complete
 
 
 def naive_adjacency(k: int, n: int, edges) -> dict[int, set[int]]:
@@ -48,6 +48,124 @@ def naive_sigma_pair(k: int, n: int, edges) -> tuple[int, int] | None:
                 if len(adj[u]) + len(adj[v]) == best:
                     return (u, v)
     return None
+
+
+def naive_parse_graphs(text: str) -> list[tuple[int, int, set[tuple[int, int]]]]:
+    """Every graph in the text as (k, n, edge set), line by line with a dict
+    of neighbour sets; raises GraphFormatError as graphio.parse_graphs does."""
+
+    def to_int(word: str, line_no: int) -> int:
+        try:
+            return int(word)
+        except ValueError:
+            raise GraphFormatError(line_no, f"not an integer: {word!r}") from None
+
+    lines = text.split("\n")
+    graphs = []
+    i = 0
+    while i < len(lines):
+        raw = lines[i].strip()
+        i += 1
+        if not raw or raw.startswith("#"):
+            continue
+        header_no = i
+        words = raw.split()
+        if words[0] != "kpartite" or len(words) != 4:
+            raise GraphFormatError(header_no, "expected header 'kpartite <k> <n> <m>'")
+        k, n, m = (to_int(word, header_no) for word in words[1:])
+        if m < 0:
+            raise GraphFormatError(header_no, "edge count may not be negative")
+        if k * n > MAX_VERTICES:
+            raise GraphFormatError(
+                header_no, f"k*n={k * n} exceeds the bit-matrix cap {MAX_VERTICES}"
+            )
+        if k < 2:
+            raise GraphFormatError(header_no, f"need at least 2 parts, got k={k}")
+        if n < 1:
+            raise GraphFormatError(header_no, f"need at least 1 vertex per part, got n={n}")
+        neighbours: dict[int, set[int]] = {v: set() for v in range(k * n)}
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < m:
+            if i == len(lines):
+                raise GraphFormatError(i, f"file ends after {len(edges)} of {m} edges")
+            raw = lines[i].strip()
+            i += 1
+            if raw.startswith("#"):
+                continue
+            if not raw:
+                raise GraphFormatError(i, f"blank line after {len(edges)} of {m} edges")
+            words = raw.split()
+            if len(words) != 2:
+                raise GraphFormatError(i, "expected two endpoints")
+            u = to_int(words[0], i)
+            v = to_int(words[1], i)
+            if u not in neighbours or v not in neighbours or u >= v:
+                raise GraphFormatError(
+                    i, f"endpoints must satisfy 0 <= u < v < {k * n}, got {u} {v}"
+                )
+            if u // n == v // n:
+                raise GraphFormatError(i, f"{u} and {v} sit in the same part")
+            if v in neighbours[u]:
+                raise GraphFormatError(i, f"duplicate edge {u} {v}")
+            neighbours[u].add(v)
+            neighbours[v].add(u)
+            edges.add((u, v))
+        graphs.append((k, n, edges))
+    return graphs
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """Token soup in the shape of graph files: headers good and bad, edge
+    lines good, bad and repeated, comments, blank lines, and spaces, tabs
+    and carriage returns around and between the tokens."""
+    pad = st.sampled_from(["", " ", "\t", "\r", " \r"])
+    junk = st.sampled_from(["x", "#2", "+1", "1.0", "0x1", "-0", "kpartite", "1_0"])
+    odd_size = st.sampled_from([-1, 0, 1, 9, 13, 1000000])
+
+    def line(words) -> str:
+        sep = draw(st.sampled_from([" ", "\t", "  "]))
+        return draw(pad) + sep.join(words) + draw(pad)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 4)):
+            k, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+        else:
+            k, n = draw(odd_size), draw(odd_size)
+        m = draw(st.integers(-1, 6))
+        header = ["kpartite", str(k), str(n), str(m)]
+        kind = draw(st.sampled_from(["good"] * 6 + ["word", "short", "junk"]))
+        if kind == "word":
+            header[0] = draw(st.sampled_from(["partite", "KPARTITE", "#kpartite"]))
+        elif kind == "short":
+            header.pop()
+        elif kind == "junk":
+            header[draw(st.integers(1, 3))] = draw(junk)
+        lines.append(line(header))
+        host = host_edges(k, n) if 2 <= k <= 4 and 1 <= n <= 3 else [(0, 1)]
+        fresh = iter(draw(st.permutations(host)))
+        count = max(min(k * n, 12), 2)
+        for _ in range(max(m + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)):
+            kind = draw(st.sampled_from(["edge"] * 12 + ["wild", "repeat", "comment", "blank", "junk", "three"]))
+            if kind == "edge":
+                lines.append(line([str(v) for v in next(fresh, host[0])]))
+            elif kind == "repeat" and len(lines) > 1:
+                lines.append(lines[-1])
+            elif kind == "comment":
+                lines.append(draw(pad) + draw(st.sampled_from(["#", "# note", "#1 2"])))
+            elif kind == "blank":
+                lines.append(draw(pad))
+            else:
+                u = draw(st.integers(-1, count))
+                words = [str(u), str(u + draw(st.integers(-1, 3)))]
+                if kind == "junk":
+                    words[draw(st.integers(0, 1))] = draw(junk)
+                elif kind == "three":
+                    words.append(draw(st.sampled_from(["1", "x"])))
+                lines.append(line(words))
+        lines.extend(draw(st.lists(st.sampled_from(["", "# after"]), max_size=2)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
 
 def perm_hamiltonian(rows) -> bool:

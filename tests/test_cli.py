@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kpham
 from kpham import (
     new_complete,
     parse_graph,
@@ -14,6 +19,16 @@ from kpham import (
     write_graph,
 )
 from kpham.cli import run
+
+
+def fresh_run(*argv):
+    """Run kpham in a new interpreter; returns (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(kpham.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "kpham.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def invoke(capsys, *argv):
@@ -244,6 +259,25 @@ class TestFaults:
         )
         assert code == 1
         assert "budget" in err
+
+
+def test_parser_reuse_leaks_no_state(capsys, tmp_path):
+    # one edge below the (3, 2) threshold: only --theorem11 solves it, so a
+    # flag surviving into the next call would change that call's output
+    text = "kpartite 3 2 9\n0 4\n0 5\n1 2\n1 3\n1 5\n2 4\n2 5\n3 4\n3 5\n"
+    path = graph_file(tmp_path, parse_graph(text))
+    sequence = [
+        ["solve", "--theorem11", path],
+        ["solve", path],
+        ["solve", path, "--no-such-flag"],
+        ["check", "--machine", path],
+        ["solve", path],
+    ]
+    outcomes = [invoke(capsys, *argv) for argv in sequence]
+    assert [code for code, _, _ in outcomes] == [0, 0, 2, 0, 0]
+    assert outcomes[0][1] != outcomes[1][1]
+    for argv, outcome in zip(sequence, outcomes):
+        assert outcome == fresh_run(*argv)
 
 
 def test_no_command_is_usage_error(capsys):

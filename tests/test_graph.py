@@ -19,6 +19,7 @@ from kpham import (
     remove_edges,
     stats,
 )
+from kpham.graph import check_shape
 
 
 class TestConstruction:
@@ -66,6 +67,28 @@ class TestConstruction:
             KPartiteGraph(2, 0, ())
         with pytest.raises(InvalidGraph, match="rows"):
             KPartiteGraph(2, 2, (0, 0))
+
+    @pytest.mark.parametrize(
+        ("k", "n", "error", "message"),
+        [
+            (1, 2, InvalidGraph, "need at least 2 parts, got k=1"),
+            (2, 0, InvalidGraph, "need at least 1 vertex per part, got n=0"),
+            (2, -1, InvalidGraph, "need at least 1 vertex per part, got n=-1"),
+            (5, 13, TooLarge, "k*n=65 exceeds the bit-matrix cap 64"),
+            (1, 65, TooLarge, "k*n=65 exceeds the bit-matrix cap 64"),
+        ],
+    )
+    def test_every_constructor_checks_the_shape_alike(self, k, n, error, message):
+        constructors = [
+            lambda: check_shape(k, n),
+            lambda: new_complete(k, n),
+            lambda: from_edge_list(k, n, []),
+            lambda: KPartiteGraph(k, n, (0,) * max(k * n, 0)),
+        ]
+        for construct in constructors:
+            with pytest.raises(error) as exc_info:
+                construct()
+            assert str(exc_info.value) == message
 
     def test_vertex_cap(self):
         with pytest.raises(TooLarge):

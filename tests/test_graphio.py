@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import partite_graphs
+from conftest import graph_texts, naive_parse_graphs, partite_graphs
 from kpham import (
     GraphFormatError,
     new_complete,
@@ -93,6 +93,8 @@ def _error(text, line, message, label):
         _error("kpartite 2 2 2\n+1 3\n1 +3\n", 3, "duplicate edge 1 3", "plus sign"),
         _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3", 5, "file ends after 1 of 2 edges", "second graph ends"),
         _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3\n", 6, "blank line after 1 of 2 edges", "second graph newline"),
+        _error("kpartite 1000000 1000000 1\nx y\n", 1, "k*n=1000000000000 exceeds the bit-matrix cap 64", "header before edges"),
+        _error("kpartite 1 2 1\n0 1\n", 1, "need at least 2 parts, got k=1", "header before edge"),
     ],
 )
 def test_format_errors_carry_line_numbers(text, line, message):
@@ -106,6 +108,20 @@ def test_format_errors_carry_line_numbers(text, line, message):
 def test_whitespace_variants_parse():
     text = "  kpartite\t2 2 2 \r\n\t# note\r\n+1\t3\r\n 0   2\r\n"
     assert parse_graph(text).edges() == [(0, 2), (1, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts())
+def test_matches_naive_parser(text):
+    try:
+        expected = naive_parse_graphs(text)
+    except GraphFormatError as exc:
+        with pytest.raises(GraphFormatError) as exc_info:
+            parse_graphs(text)
+        assert (exc_info.value.line, str(exc_info.value)) == (exc.line, str(exc))
+        return
+    graphs = parse_graphs(text)
+    assert [(g.k, g.n, set(g.edges())) for g in graphs] == expected
 
 
 def test_error_context_in_later_graph():
