@@ -9,12 +9,20 @@ nothing with them.
 from __future__ import annotations
 
 import concurrent.futures
+import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
 
-from kpham import MAX_VERTICES, GraphFormatError, KPartiteGraph, from_edge_list, new_complete
+from kpham import (
+    MAX_VERTICES,
+    GraphFormatError,
+    InvalidGraph,
+    KPartiteGraph,
+    from_edge_list,
+    new_complete,
+)
 
 
 def naive_adjacency(k: int, n: int, edges) -> dict[int, set[int]]:
@@ -48,6 +56,55 @@ def naive_sigma_pair(k: int, n: int, edges) -> tuple[int, int] | None:
                 if len(adj[u]) + len(adj[v]) == best:
                     return (u, v)
     return None
+
+
+def naive_adjacency_error(k: int, n: int, rows) -> InvalidGraph | None:
+    """The InvalidGraph that KPartiteGraph(k, n, rows) must raise for rows of
+    the right length, or None when it must accept them: rows in order, and in
+    each row the range, self-loop, intra-part and then asymmetry test, one
+    neighbour at a time in ascending order."""
+    count = k * n
+    for v, row in enumerate(rows):
+        neighbours = [u for u in range(row.bit_length()) if row >> u & 1]
+        if any(u >= count for u in neighbours):
+            return InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
+        if v in neighbours:
+            return InvalidGraph(f"vertex {v} has a self-loop")
+        if any(u // n == v // n for u in neighbours):
+            return InvalidGraph(f"vertex {v} has an intra-part neighbor")
+        for u in neighbours:
+            if not rows[u] >> v & 1:
+                return InvalidGraph(f"asymmetric adjacency between {u} and {v}")
+    return None
+
+
+@st.composite
+def adjacency_rows(draw) -> tuple[int, int, tuple[int, ...]]:
+    """(k, n, rows) for any shape up to MAX_VERTICES: a random graph, then a
+    few single-bit edits that may add a bit at or past k*n, a self-loop, an
+    intra-part bit, or flip one bit so that the rows lose their symmetry."""
+    k = draw(st.integers(2, 16))
+    n = draw(st.integers(1, MAX_VERTICES // k))
+    count = k * n
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
+    rows = [0] * count
+    for u, v in host_edges(k, n):
+        if rng.random() < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, count - 1))
+        kind = draw(st.sampled_from(["outside", "loop", "intra", "flip", "flip", "flip"]))
+        if kind == "outside":
+            rows[v] |= 1 << draw(st.sampled_from([count, count + 1, 63, 64, 70, 128, 200]))
+        elif kind == "loop":
+            rows[v] |= 1 << v
+        elif kind == "intra":
+            rows[v] |= 1 << draw(st.integers(v - v % n, v - v % n + n - 1))
+        else:
+            rows[v] ^= 1 << draw(st.integers(0, count - 1))
+    return k, n, tuple(rows)
 
 
 def naive_parse_graphs(text: str) -> list[tuple[int, int, set[tuple[int, int]]]]:

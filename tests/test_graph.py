@@ -5,7 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from conftest import naive_sigma, naive_sigma_pair, partite_graphs
+from conftest import (
+    adjacency_rows,
+    naive_adjacency_error,
+    naive_sigma,
+    naive_sigma_pair,
+    partite_graphs,
+)
 from kpham import (
     MAX_VERTICES,
     SIGMA_INFINITY,
@@ -94,6 +100,97 @@ class TestConstruction:
         with pytest.raises(TooLarge):
             new_complete(5, 13)  # 65 vertices
         assert new_complete(4, 16).num_vertices == MAX_VERTICES
+
+
+def rows_with(count: int, **bits: tuple[int, ...]) -> tuple[int, ...]:
+    """count rows, row v holding the bits listed under the keyword rv."""
+    rows = [0] * count
+    for name, positions in bits.items():
+        for u in positions:
+            rows[int(name[1:])] |= 1 << u
+    return tuple(rows)
+
+
+class TestValidation:
+    """The constructor's four row errors, word for word, and the order in
+    which it finds them: rows ascending, and within a row the range,
+    self-loop, intra-part and then asymmetry test. The (2, 3) host has the
+    parts {0, 1, 2} and {3, 4, 5}."""
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            pytest.param(rows_with(6, r1=(6,)), "vertex 1 has neighbors outside 0..5", id="range"),
+            pytest.param(rows_with(6, r4=(4,)), "vertex 4 has a self-loop", id="loop"),
+            pytest.param(rows_with(6, r2=(0,)), "vertex 2 has an intra-part neighbor", id="intra"),
+            pytest.param(rows_with(6, r2=(5,)), "asymmetric adjacency between 5 and 2", id="asymmetric"),
+            pytest.param(
+                rows_with(6, r3=(0,), r5=(9,)), "asymmetric adjacency between 0 and 3",
+                id="asymmetry-row-3-before-range-row-5",
+            ),
+            pytest.param(
+                rows_with(6, r2=(7,), r3=(0,)), "vertex 2 has neighbors outside 0..5",
+                id="range-row-2-before-asymmetry-row-3",
+            ),
+            pytest.param(
+                rows_with(6, r1=(1, 2, 3, 6)), "vertex 1 has neighbors outside 0..5",
+                id="row-range-first",
+            ),
+            pytest.param(rows_with(6, r1=(1, 2, 3)), "vertex 1 has a self-loop", id="row-loop-second"),
+            pytest.param(
+                rows_with(6, r1=(2, 3)), "vertex 1 has an intra-part neighbor", id="row-intra-third"
+            ),
+            pytest.param(
+                rows_with(6, r1=(3,), r3=(1, 2), r0=(4, 5)),
+                "asymmetric adjacency between 4 and 0",
+                id="lowest-row-then-lowest-neighbour",
+            ),
+            pytest.param(
+                rows_with(6, r1=(5,), r4=(0,)), "asymmetric adjacency between 5 and 1",
+                id="lower-row-wins",
+            ),
+            pytest.param(
+                rows_with(6, r0=(3, 64), r3=(0,)), "vertex 0 has neighbors outside 0..5",
+                id="bit-past-any-packing",
+            ),
+            pytest.param(
+                rows_with(6, r0=(11,), r1=(3,)), "vertex 0 has neighbors outside 0..5",
+                id="bit-in-the-next-rows-slot",
+            ),
+        ],
+    )
+    def test_row_errors_and_their_order(self, rows, message):
+        assert str(naive_adjacency_error(2, 3, rows)) == message
+        with pytest.raises(InvalidGraph) as exc_info:
+            KPartiteGraph(2, 3, rows)
+        assert str(exc_info.value) == message
+
+    def test_wide_rows(self):
+        # 64 vertices: the last row and the top bit of a row are reached
+        g = new_complete(2, 32)
+        rows = list(g.adj)
+        rows[0] &= ~(1 << 63)
+        with pytest.raises(InvalidGraph) as exc_info:
+            KPartiteGraph(2, 32, tuple(rows))
+        assert str(exc_info.value) == "asymmetric adjacency between 0 and 63"
+        rows = list(g.adj)
+        rows[63] &= ~1
+        with pytest.raises(InvalidGraph) as exc_info:
+            KPartiteGraph(2, 32, tuple(rows))
+        assert str(exc_info.value) == "asymmetric adjacency between 63 and 0"
+
+    @settings(max_examples=400, deadline=None)
+    @given(adjacency_rows())
+    def test_matches_naive_reference(self, case):
+        k, n, rows = case
+        expected = naive_adjacency_error(k, n, rows)
+        if expected is None:
+            assert KPartiteGraph(k, n, rows).adj == rows
+            return
+        with pytest.raises(InvalidGraph) as exc_info:
+            KPartiteGraph(k, n, rows)
+        assert type(exc_info.value) is type(expected)
+        assert str(exc_info.value) == str(expected)
 
 
 class TestEditing:
