@@ -25,7 +25,7 @@ from math import comb
 from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
 from .errors import BudgetExceeded, TooLarge, TooSmall
-from .graph import KPartiteGraph, from_edge_list, new_complete, remove_edges
+from .graph import KPartiteGraph, check_shape, from_edge_list, new_complete, remove_edges
 from .oracle import ORACLE_VERTEX_CAP, is_hamiltonian, run_chunks
 from .paths import is_hamilton_cycle
 
@@ -153,6 +153,7 @@ def fault_tolerance_trial(
     """
     if deletions < 0:
         raise ValueError("deletions must be nonnegative")
+    check_shape(k, n)
     budget = (k - 1) * n - 2
     if deletions > budget and not allow_over_budget:
         raise BudgetExceeded(

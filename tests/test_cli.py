@@ -261,6 +261,14 @@ class TestFaults:
         assert "budget" in err
 
 
+    def test_bad_shape_named_before_budget(self, capsys):
+        code, out, err = invoke(
+            capsys, "faults", "2", "-1", "--deletions", "0", "--seed", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: need at least 1 vertex per part, got n=-1\n"
+
+
 def test_parser_reuse_leaks_no_state(capsys, tmp_path):
     # one edge below the (3, 2) threshold: only --theorem11 solves it, so a
     # flag surviving into the next call would change that call's output
