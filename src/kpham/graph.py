@@ -9,6 +9,12 @@ equality, so edge insertion order is never observable.
 The adjacency matrix is stored as one Python int per vertex (bit j set
 iff j is a neighbor), which keeps all hot operations word-parallel at
 desk scale. MAX_VERTICES caps k*n.
+
+The constructor checks symmetry on the whole matrix at once: it packs the
+rows, each masked to the k*n vertex bits, into one int of W bits per row (W
+the next power of two >= k*n, at least 8), transposes that with log2(W)
+delta-swaps, and reads the first asymmetric pair off the lowest set bit of
+packed & ~transposed.
 """
 
 from __future__ import annotations
@@ -42,6 +48,32 @@ def part_masks(k: int, n: int) -> tuple[int, ...]:
     """Bitmask of each part's contiguous vertex block."""
     block = (1 << n) - 1
     return tuple(block << (i * n) for i in range(k))
+
+
+@lru_cache(maxsize=None)
+def _transpose_steps(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) delta-swaps that transpose a width x width bit matrix
+    packed row-major into one int (bit r*width + c holds entry (r, c)).
+
+    The step for bit j of the indices swaps every entry (r, c) whose r has
+    bit j clear and c has it set with (r + j, c - j), which sits
+    j*(width - 1) bits higher; doing this for every j swaps r and c."""
+    steps = []
+    j = width // 2
+    while j:
+        cols = sum(1 << c for c in range(width) if c & j)
+        mask = sum(cols << (r * width) for r in range(width) if not r & j)
+        steps.append((j * (width - 1), mask))
+        j //= 2
+    return tuple(steps)
+
+
+def _transpose(packed: int, width: int) -> int:
+    """Transpose of a packed square bit matrix (see _transpose_steps)."""
+    for shift, mask in _transpose_steps(width):
+        swap = ((packed >> shift) ^ packed) & mask
+        packed ^= swap ^ (swap << shift)
+    return packed
 
 
 def check_shape(k: int, n: int) -> None:
@@ -79,6 +111,13 @@ class KPartiteGraph:
     adj[v] is the neighbor bitmask of vertex v. The constructor validates
     the whole contract (symmetry, no loops, no intra-part edges), so any
     held instance is structurally sound.
+
+    Rows are checked in order; in each row the range, self-loop, intra-part
+    and then symmetry test, so an error names the first bad row. Symmetry is
+    one transpose of the packed matrix (see the module docstring): its first
+    asymmetric bit, row v and column u, is the pair an edge-by-edge scan of
+    row v in ascending u would meet first, and is reported as
+    "asymmetric adjacency between {u} and {v}" when the loop reaches row v.
     """
 
     k: int
@@ -92,6 +131,17 @@ class KPartiteGraph:
             raise InvalidGraph(f"adjacency has {len(self.adj)} rows, expected {count}")
         full = (1 << count) - 1
         blocks = part_masks(self.k, self.n)
+        # First asymmetric (row, neighbour) pair in row-major order, from the
+        # packed matrix and its transpose; rows are masked to the vertex bits
+        # so that no bit spills into the next row's slot. A row with bits
+        # outside the mask fails the range test before its asymmetry is named.
+        width = max(8, 1 << (count - 1).bit_length())
+        packed = int.from_bytes(
+            b"".join((row & full).to_bytes(width // 8, "little") for row in self.adj),
+            "little",
+        )
+        lonely = packed & ~_transpose(packed, width)
+        first = (lonely & -lonely).bit_length() - 1  # -1, in no row, if none
         for v, row in enumerate(self.adj):
             if row & ~full:
                 raise InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
@@ -99,9 +149,8 @@ class KPartiteGraph:
                 raise InvalidGraph(f"vertex {v} has a self-loop")
             if row & blocks[v // self.n]:
                 raise InvalidGraph(f"vertex {v} has an intra-part neighbor")
-            for u in bits(row):
-                if not self.adj[u] & (1 << v):
-                    raise InvalidGraph(f"asymmetric adjacency between {u} and {v}")
+            if v == first // width:
+                raise InvalidGraph(f"asymmetric adjacency between {first % width} and {v}")
 
     # ---- basic accessors -------------------------------------------------
 

@@ -14,14 +14,55 @@ Parsing is one pass: each header's shape is checked (graph.check_shape) on
 its own line before anything is allocated or any edge line read, and each
 edge is checked once and ORed straight into the adjacency rows that the
 KPartiteGraph constructor then validates.
+
+Edge blocks as the writer prints them are read as one unit: after a header
+with m > 0, each of the next m lines is split at its first space and both
+halves are looked up among the vertex ids as the writer prints them; the
+edges are ORed into the rows, and a distinct-edge bit count and the
+constructor then check the whole block. Any line not of that form
+(comments, tabs, CR, signs, leading zeros, a short file), an edge out of
+range or with u >= v, a repeat or an intra-part edge hands the block back
+to the line loop at its first line, which reads it as above and is the
+only place that builds an error, so messages and line numbers do not
+depend on which path ran.
 """
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+
 from .errors import GraphFormatError, InvalidGraph, TooLarge
-from .graph import KPartiteGraph, check_shape
+from .graph import MAX_VERTICES, KPartiteGraph, check_shape
 
 HEADER_WORD = "kpartite"
+
+
+# Each vertex id as the writer prints it (no sign, padding or leading zero),
+# with its bit.
+_IDS = {str(v): (v, 1 << v) for v in range(MAX_VERTICES)}
+
+
+def _read_block(k: int, n: int, block: list[str], m: int) -> KPartiteGraph | None:
+    """The graph whose m edges are the lines of block, when every line is
+    "<u> <v>" as the writer prints it and the edges are distinct, in range
+    and cross-part; None otherwise, and the line loop then reads the block
+    and names the first bad line."""
+    count = k * n
+    rows = [0] * count
+    try:
+        for head, _, tail in map(str.partition, block, repeat(" ")):
+            u, u_bit = _IDS[head]  # KeyError: a line not in the writer's form
+            v, v_bit = _IDS[tail]
+            if not u < v < count:
+                return None
+            rows[u] |= v_bit
+            rows[v] |= u_bit
+        # A block cut short or a repeated edge leaves fewer than 2m bits.
+        if sum(map(int.bit_count, rows)) != 2 * m:
+            return None
+        return KPartiteGraph(k, n, tuple(rows))  # InvalidGraph: a same-part edge
+    except (KeyError, InvalidGraph):
+        return None
 
 
 def _ints(tokens: list[str], line_no: int) -> list[int]:
@@ -41,7 +82,8 @@ def parse_graphs(text: str) -> list[KPartiteGraph]:
     # The graph being read: shape, edge count m, edges read so far, rows.
     k = n = m = got = count = 0
     rows: list[int] = []
-    for line_no, line in enumerate(lines, 1):
+    numbered = enumerate(lines, 1)
+    for line_no, line in numbered:
         tokens = line.split()
         if tokens and tokens[0].startswith("#"):
             continue
@@ -87,6 +129,12 @@ def parse_graphs(text: str) -> list[KPartiteGraph]:
         got = 0
         if m == 0:
             graphs.append(KPartiteGraph(k, n, tuple(rows)))
+            continue
+        g = _read_block(k, n, lines[line_no : line_no + m], m)
+        if g is not None:
+            graphs.append(g)
+            got = m
+            next(islice(numbered, m - 1, None))  # step past the block's m lines
     if got < m:
         raise GraphFormatError(len(lines), f"file ends after {got} of {m} edges")
     return graphs

@@ -22,6 +22,7 @@ from kpham import (
     KPartiteGraph,
     from_edge_list,
     new_complete,
+    write_graphs,
 )
 
 
@@ -223,6 +224,56 @@ def graph_texts(draw) -> str:
                 lines.append(line(words))
         lines.extend(draw(st.lists(st.sampled_from(["", "# after"]), max_size=2)))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def writer_texts(draw) -> str:
+    """write_graphs output of 1-3 random graphs of up to MAX_VERTICES vertices,
+    as is or with one edit: a bad token, a third token, a blank line, a
+    comment, a repeated edge line, an edge out of range or inside a part, CRLF
+    line ends, or the text cut at a line end with or without its newline."""
+    graphs = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(2, 8))
+        n = draw(st.integers(1, MAX_VERTICES // k))
+        host = host_edges(k, n)
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        graphs.append(from_edge_list(k, n, rng.sample(host, rng.randint(0, len(host)))))
+    lines = write_graphs(graphs).split("\n")
+    kind = draw(st.sampled_from([
+        "none", "token", "three", "blank", "comment", "repeat",
+        "outside", "same-part", "crlf", "cut", "cut-newline",
+    ]))
+    at = draw(st.integers(0, len(lines) - 1))
+    edge_at = [i for i, line in enumerate(lines) if line and not line.startswith("kpartite")]
+    if kind in ("token", "three", "repeat", "outside", "same-part") and edge_at:
+        i = draw(st.sampled_from(edge_at))
+        header = next(line for line in reversed(lines[:i]) if line.startswith("kpartite"))
+        k, n = map(int, header.split()[1:3])
+        words = lines[i].split()
+        u = int(words[0])
+        if kind == "token":
+            words[draw(st.integers(0, 1))] = draw(st.sampled_from(["x", "+1", "07", "-0", "1.0", "٣"]))
+            lines[i] = " ".join(words)
+        elif kind == "three":
+            lines[i] += " 1"
+        elif kind == "repeat":
+            lines.insert(draw(st.sampled_from([i, i + 1])), lines[i])
+        elif kind == "outside":
+            lines[i] = f"{u} {k * n + draw(st.integers(0, 2))}"
+        else:
+            low = u - u % n
+            lines[i] = f"{low} {low + 1}" if n > 1 else f"{u} {u}"
+    elif kind == "blank":
+        lines.insert(at, "")
+    elif kind == "comment":
+        lines.insert(at, "# note")
+    text = "\n".join(lines)
+    if kind == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif kind.startswith("cut"):
+        text = "\n".join(lines[:at]) + ("\n" if kind == "cut-newline" else "")
+    return text
 
 
 def perm_hamiltonian(rows) -> bool:

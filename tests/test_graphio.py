@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graph_texts, naive_parse_graphs, partite_graphs
+from conftest import graph_texts, naive_parse_graphs, partite_graphs, writer_texts
 from kpham import (
     GraphFormatError,
     new_complete,
@@ -110,9 +110,7 @@ def test_whitespace_variants_parse():
     assert parse_graph(text).edges() == [(0, 2), (1, 3)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(graph_texts())
-def test_matches_naive_parser(text):
+def assert_parses_like_naive(text):
     try:
         expected = naive_parse_graphs(text)
     except GraphFormatError as exc:
@@ -122,6 +120,20 @@ def test_matches_naive_parser(text):
         return
     graphs = parse_graphs(text)
     assert [(g.k, g.n, set(g.edges())) for g in graphs] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_texts())
+def test_matches_naive_parser(text):
+    assert_parses_like_naive(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_texts())
+def test_writer_output_matches_naive_parser(text):
+    # whole edge blocks in the writer's form, and blocks that must be handed
+    # back to the line loop at their first line
+    assert_parses_like_naive(text)
 
 
 def test_error_context_in_later_graph():
