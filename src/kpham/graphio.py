@@ -51,17 +51,20 @@ def _read_block(k: int, n: int, block: list[str], m: int) -> KPartiteGraph | Non
     rows = [0] * count
     try:
         for head, _, tail in map(str.partition, block, repeat(" ")):
-            u, u_bit = _IDS[head]  # KeyError: a line not in the writer's form
+            u, u_bit = _IDS[head]
             v, v_bit = _IDS[tail]
             if not u < v < count:
                 return None
             rows[u] |= v_bit
             rows[v] |= u_bit
-        # A block cut short or a repeated edge leaves fewer than 2m bits.
-        if sum(map(int.bit_count, rows)) != 2 * m:
-            return None
-        return KPartiteGraph(k, n, tuple(rows))  # InvalidGraph: a same-part edge
-    except (KeyError, InvalidGraph):
+    except KeyError:  # a line not in the writer's form
+        return None
+    # A block cut short or a repeated edge leaves fewer than 2m bits.
+    if sum(map(int.bit_count, rows)) != 2 * m:
+        return None
+    try:
+        return KPartiteGraph(k, n, tuple(rows))
+    except InvalidGraph:  # a same-part edge
         return None
 
 

@@ -230,8 +230,9 @@ def graph_texts(draw) -> str:
 def writer_texts(draw) -> str:
     """write_graphs output of 1-3 random graphs of up to MAX_VERTICES vertices,
     as is or with one edit: a bad token, a third token, a blank line, a
-    comment, a repeated edge line, an edge out of range or inside a part, CRLF
-    line ends, or the text cut at a line end with or without its newline."""
+    comment, a repeated edge line, an edge out of range, inside a part or with
+    its ends swapped, CRLF line ends, or the text cut at a line end with or
+    without its newline."""
     graphs = []
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.integers(2, 8))
@@ -242,18 +243,19 @@ def writer_texts(draw) -> str:
     lines = write_graphs(graphs).split("\n")
     kind = draw(st.sampled_from([
         "none", "token", "three", "blank", "comment", "repeat",
-        "outside", "same-part", "crlf", "cut", "cut-newline",
+        "outside", "same-part", "swapped", "crlf", "cut", "cut-newline",
     ]))
     at = draw(st.integers(0, len(lines) - 1))
     edge_at = [i for i, line in enumerate(lines) if line and not line.startswith("kpartite")]
-    if kind in ("token", "three", "repeat", "outside", "same-part") and edge_at:
+    if kind in ("token", "three", "repeat", "outside", "same-part", "swapped") and edge_at:
         i = draw(st.sampled_from(edge_at))
         header = next(line for line in reversed(lines[:i]) if line.startswith("kpartite"))
         k, n = map(int, header.split()[1:3])
         words = lines[i].split()
         u = int(words[0])
         if kind == "token":
-            words[draw(st.integers(0, 1))] = draw(st.sampled_from(["x", "+1", "07", "-0", "1.0", "٣"]))
+            bad = st.sampled_from(["x", "+1", "07", "-0", "1.0", "64", "٣"])
+            words[draw(st.integers(0, 1))] = draw(bad)
             lines[i] = " ".join(words)
         elif kind == "three":
             lines[i] += " 1"
@@ -261,6 +263,8 @@ def writer_texts(draw) -> str:
             lines.insert(draw(st.sampled_from([i, i + 1])), lines[i])
         elif kind == "outside":
             lines[i] = f"{u} {k * n + draw(st.integers(0, 2))}"
+        elif kind == "swapped":
+            lines[i] = f"{words[1]} {u}"
         else:
             low = u - u % n
             lines[i] = f"{low} {low + 1}" if n > 1 else f"{u} {u}"
