@@ -62,19 +62,38 @@ def random_graph_at_edge_count(
 
 @dataclass(frozen=True, slots=True)
 class FaultReport:
+    """What fault_tolerance_trial found. budget, mode, rng, trials and failed
+    follow from the stored fields and are computed on access, so a caller
+    that keeps many reports keeps eight fields per report."""
+
     k: int
     n: int
     deletions: int
-    budget: int
-    mode: str  # "random" or "exhaustive"
-    seed: int | None
-    rng: str
-    trials: int
+    seed: int | None  # None exactly in exhaustive mode
     survived: int
-    failed: int
     fallbacks: int
     disagreements: int
     failures: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def budget(self) -> int:
+        return (self.k - 1) * self.n - 2
+
+    @property
+    def mode(self) -> str:
+        return "exhaustive" if self.seed is None else "random"
+
+    @property
+    def rng(self) -> str:
+        return RNG_NAME
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def trials(self) -> int:
+        return self.survived + self.failed
 
 
 def _decide_instance(
@@ -99,11 +118,11 @@ def _decide_instance(
 
 def _fault_chunk(
     args: tuple[int, int, int, int | None, int, int, bool, int, bool],
-) -> tuple[int, int, int, int, list[tuple[tuple[int, int], ...]]]:
+) -> tuple[int, int, int, list[tuple[tuple[int, int], ...]]]:
     k, n, deletions, seed, lo, hi, exhaustive, oracle_cap, cross_check = args
     host = new_complete(k, n).edges()
     threshold = edge_threshold(k, n)
-    survived = failed = fallbacks = disagreements = 0
+    survived = fallbacks = disagreements = 0
     failures: list[tuple[tuple[int, int], ...]] = []
     if exhaustive:
         picks = islice(combinations(host, deletions), lo, hi)
@@ -122,11 +141,10 @@ def _fault_chunk(
         if alive:
             survived += 1
         else:
-            failed += 1
             failures.append(tuple(dropped))
         fallbacks += fallback
         disagreements += mismatch
-    return survived, failed, fallbacks, disagreements, failures
+    return survived, fallbacks, disagreements, failures
 
 
 def fault_tolerance_trial(
@@ -191,11 +209,10 @@ def fault_tolerance_trial(
         ]
     parts = run_chunks(_fault_chunk, chunks, jobs)
 
-    survived = failed = fallbacks = disagreements = 0
+    survived = fallbacks = disagreements = 0
     failures: list[tuple[tuple[int, int], ...]] = []
-    for c_surv, c_fail, c_fall, c_dis, c_failures in parts:
+    for c_surv, c_fall, c_dis, c_failures in parts:
         survived += c_surv
-        failed += c_fail
         fallbacks += c_fall
         disagreements += c_dis
         failures.extend(c_failures)
@@ -203,13 +220,8 @@ def fault_tolerance_trial(
         k=k,
         n=n,
         deletions=deletions,
-        budget=budget,
-        mode="exhaustive" if exhaustive else "random",
         seed=seed,
-        rng=RNG_NAME,
-        trials=total,
         survived=survived,
-        failed=failed,
         fallbacks=fallbacks,
         disagreements=disagreements,
         failures=tuple(failures),
