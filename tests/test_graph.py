@@ -102,12 +102,12 @@ class TestConstruction:
         assert new_complete(4, 16).num_vertices == MAX_VERTICES
 
 
-def rows_with(count: int, **bits: tuple[int, ...]) -> tuple[int, ...]:
-    """count rows, row v holding the bits listed under the keyword rv."""
+def rows_with(count: int, bits: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """count rows, row v holding the bit positions bits[v]."""
     rows = [0] * count
-    for name, positions in bits.items():
+    for v, positions in bits.items():
         for u in positions:
-            rows[int(name[1:])] |= 1 << u
+            rows[v] |= 1 << u
     return tuple(rows)
 
 
@@ -120,41 +120,41 @@ class TestValidation:
     @pytest.mark.parametrize(
         ("rows", "message"),
         [
-            pytest.param(rows_with(6, r1=(6,)), "vertex 1 has neighbors outside 0..5", id="range"),
-            pytest.param(rows_with(6, r4=(4,)), "vertex 4 has a self-loop", id="loop"),
-            pytest.param(rows_with(6, r2=(0,)), "vertex 2 has an intra-part neighbor", id="intra"),
-            pytest.param(rows_with(6, r2=(5,)), "asymmetric adjacency between 5 and 2", id="asymmetric"),
+            pytest.param(rows_with(6, {1: (6,)}), "vertex 1 has neighbors outside 0..5", id="range"),
+            pytest.param(rows_with(6, {4: (4,)}), "vertex 4 has a self-loop", id="loop"),
+            pytest.param(rows_with(6, {2: (0,)}), "vertex 2 has an intra-part neighbor", id="intra"),
+            pytest.param(rows_with(6, {2: (5,)}), "asymmetric adjacency between 5 and 2", id="asymmetric"),
             pytest.param(
-                rows_with(6, r3=(0,), r5=(9,)), "asymmetric adjacency between 0 and 3",
+                rows_with(6, {3: (0,), 5: (9,)}), "asymmetric adjacency between 0 and 3",
                 id="asymmetry-row-3-before-range-row-5",
             ),
             pytest.param(
-                rows_with(6, r2=(7,), r3=(0,)), "vertex 2 has neighbors outside 0..5",
+                rows_with(6, {2: (7,), 3: (0,)}), "vertex 2 has neighbors outside 0..5",
                 id="range-row-2-before-asymmetry-row-3",
             ),
             pytest.param(
-                rows_with(6, r1=(1, 2, 3, 6)), "vertex 1 has neighbors outside 0..5",
+                rows_with(6, {1: (1, 2, 3, 6)}), "vertex 1 has neighbors outside 0..5",
                 id="row-range-first",
             ),
-            pytest.param(rows_with(6, r1=(1, 2, 3)), "vertex 1 has a self-loop", id="row-loop-second"),
+            pytest.param(rows_with(6, {1: (1, 2, 3)}), "vertex 1 has a self-loop", id="row-loop-second"),
             pytest.param(
-                rows_with(6, r1=(2, 3)), "vertex 1 has an intra-part neighbor", id="row-intra-third"
+                rows_with(6, {1: (2, 3)}), "vertex 1 has an intra-part neighbor", id="row-intra-third"
             ),
             pytest.param(
-                rows_with(6, r1=(3,), r3=(1, 2), r0=(4, 5)),
+                rows_with(6, {1: (3,), 3: (1, 2), 0: (4, 5)}),
                 "asymmetric adjacency between 4 and 0",
                 id="lowest-row-then-lowest-neighbour",
             ),
             pytest.param(
-                rows_with(6, r1=(5,), r4=(0,)), "asymmetric adjacency between 5 and 1",
+                rows_with(6, {1: (5,), 4: (0,)}), "asymmetric adjacency between 5 and 1",
                 id="lower-row-wins",
             ),
             pytest.param(
-                rows_with(6, r0=(3, 64), r3=(0,)), "vertex 0 has neighbors outside 0..5",
+                rows_with(6, {0: (3, 64), 3: (0,)}), "vertex 0 has neighbors outside 0..5",
                 id="bit-past-any-packing",
             ),
             pytest.param(
-                rows_with(6, r0=(11,), r1=(3,)), "vertex 0 has neighbors outside 0..5",
+                rows_with(6, {0: (11,), 1: (3,)}), "vertex 0 has neighbors outside 0..5",
                 id="bit-in-the-next-rows-slot",
             ),
         ],
