@@ -79,8 +79,9 @@ def _ints(tokens: list[str], line_no: int) -> list[int]:
 
 
 def parse_graphs(text: str) -> list[KPartiteGraph]:
-    """Parse every graph in the text, in order of appearance."""
-    lines = text.split("\n")
+    """Parse every graph in the text, in order of appearance. A final
+    newline ends the last line; it does not start an empty one."""
+    lines = text.removesuffix("\n").split("\n")
     graphs: list[KPartiteGraph] = []
     # The graph being read: shape, edge count m, edges read so far, rows.
     k = n = m = got = count = 0

@@ -119,6 +119,8 @@ def naive_parse_graphs(text: str) -> list[tuple[int, int, set[tuple[int, int]]]]
             raise GraphFormatError(line_no, f"not an integer: {word!r}") from None
 
     lines = text.split("\n")
+    if lines[-1] == "":  # the text's final newline ends its last line
+        lines.pop()
     graphs = []
     i = 0
     while i < len(lines):

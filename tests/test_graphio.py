@@ -74,6 +74,7 @@ def _error(text, line, message, label):
         _error("kpartite two 2 0\n", 1, "not an integer: 'two'", "not an integer"),
         _error("kpartite 2 2 -1\n", 1, "edge count may not be negative", "negative"),
         _error("kpartite 2 2 2\n0 2", 2, "file ends after 1 of 2 edges", "file ends after 1 of 2"),
+        _error("kpartite 2 2 2\n0 2\n", 2, "file ends after 1 of 2 edges", "file ends after final newline"),
         _error("kpartite 2 2 2\n0 2\n\n1 3\n", 3, "blank line after 1 of 2 edges", "blank line after 1 of 2"),
         _error("kpartite 2 2 1\n0 2 3\n", 2, "expected two endpoints", "two endpoints"),
         _error("kpartite 2 2 1\n0 x\n", 2, "not an integer: 'x'", "not an integer"),
@@ -92,7 +93,7 @@ def _error(text, line, message, label):
         _error("kpartite 2 2 1\n0 #2\n", 2, "not an integer: '#2'", "hash token"),
         _error("kpartite 2 2 2\n+1 3\n1 +3\n", 3, "duplicate edge 1 3", "plus sign"),
         _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3", 5, "file ends after 1 of 2 edges", "second graph ends"),
-        _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3\n", 6, "blank line after 1 of 2 edges", "second graph newline"),
+        _error("kpartite 2 2 1\n0 2\n\nkpartite 2 2 2\n1 3\n", 5, "file ends after 1 of 2 edges", "second graph newline"),
         _error("kpartite 1000000 1000000 1\nx y\n", 1, "k*n=1000000000000 exceeds the bit-matrix cap 64", "header before edges"),
         _error("kpartite 1 2 1\n0 1\n", 1, "need at least 2 parts, got k=1", "header before edge"),
     ],
