@@ -28,7 +28,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .conditions import check_ore, check_theorem2_edges, edge_threshold, meets_sigma_bound
+from .conditions import check_ore, edge_threshold, meets_sigma_bound
 from .errors import (
     ConstructionFailed,
     HypothesisNotMet,
@@ -543,9 +543,8 @@ def _complete_between_rest(g: KPartiteGraph, x: int, y: int) -> bool:
 
 def _solve_n1(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
     trace.append(BASE_N1)
-    if not check_theorem2_edges(g.adj):
-        _log_fallback(g, "edge bound unexpectedly absent at n=1")
-        return None
+    # solve() has required edge_threshold(k, 1) = C(k-1, 2) + 2 edges, which
+    # is Theorem 2's bound at N = k, so that bound needs no check here.
     try:
         cyc = ore_build_cycle(g.adj)
     except KphamError as exc:
