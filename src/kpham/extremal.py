@@ -117,9 +117,9 @@ def _decide_instance(
 
 
 def _fault_chunk(
-    args: tuple[int, int, int, int | None, int, int, bool, int, bool],
+    args: tuple[int, int, int, int | None, bool, int, bool, int, int],
 ) -> tuple[int, int, int, list[tuple[tuple[int, int], ...]]]:
-    k, n, deletions, seed, lo, hi, exhaustive, oracle_cap, cross_check = args
+    k, n, deletions, seed, exhaustive, oracle_cap, cross_check, lo, hi = args
     host = new_complete(k, n).edges()
     threshold = edge_threshold(k, n)
     survived = fallbacks = disagreements = 0
@@ -166,8 +166,9 @@ def fault_tolerance_trial(
     require allow_over_budget=True (and a host small enough for the
     oracle). Random mode runs `trials` draws seeded per trial; exhaustive
     mode visits every deletion set in ascending order and ignores `trials`
-    and `seed`. jobs sets the number of chunks; at most min(jobs, chunks,
-    CPU count) worker processes run them.
+    and `seed`. The trials (the deletion sets, in exhaustive mode) run as
+    min(jobs, trials, CPU count) index ranges; two or more run in a process
+    pool, one worker each (see oracle.run_chunks).
     """
     if deletions < 0:
         raise ValueError("deletions must be nonnegative")
@@ -195,19 +196,8 @@ def fault_tolerance_trial(
         if trials < 1:
             raise ValueError("trials must be at least 1")
         total = trials
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-
-    if jobs == 1 or total <= 1:
-        chunks = [(k, n, deletions, seed, 0, total, exhaustive, oracle_cap, cross_check)]
-    else:
-        step = -(-total // jobs)
-        chunks = [
-            (k, n, deletions, seed, lo, min(total, lo + step), exhaustive,
-             oracle_cap, cross_check)
-            for lo in range(0, total, step)
-        ]
-    parts = run_chunks(_fault_chunk, chunks, jobs)
+    head = (k, n, deletions, seed, exhaustive, oracle_cap, cross_check)
+    parts = run_chunks(_fault_chunk, head, total, jobs)
 
     survived = fallbacks = disagreements = 0
     failures: list[tuple[tuple[int, int], ...]] = []

@@ -17,9 +17,10 @@ graph can take plain backtracking over a million nodes, and "auto" pays the
 DP plus 4096 spent nodes instead.
 
 enumerate_threshold_sweep() runs the oracle (and, at or above the edge
-threshold, the solver) over every host-edge subset of a given size range,
-in colex order, optionally split across worker processes. Chunks are
-assigned by index range and merged in index order, so the summary is
+threshold, the solver) over every host-edge subset of a given size range:
+sizes ascend, and within a size subsets come in itertools.combinations
+order. run_chunks() cuts that sequence into index ranges, one per worker
+process, and merges the results in index order, so the summary is
 byte-identical for any worker count.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Sequence
 
@@ -225,59 +227,23 @@ class EnumerationSummary:
     branch_tags: tuple[tuple[str, int], ...]
 
 
-def _unrank_colex(rank: int, m: int) -> list[int]:
-    out: list[int] = []
-    for i in range(m, 0, -1):
-        a = i - 1
-        while comb(a + 1, i) <= rank:
-            a += 1
-        out.append(a)
-        rank -= comb(a, i)
-    out.reverse()
-    return out
-
-
-def _next_colex(a: list[int]) -> None:
-    m = len(a)
-    for i in range(m - 1):
-        if a[i] + 1 < a[i + 1]:
-            a[i] += 1
-            for j in range(i):
-                a[j] = j
-            return
-    a[m - 1] += 1
-    for j in range(m - 1):
-        a[j] = j
-
-
 def _sweep_chunk(
     args: tuple[int, int, int, int, int],
 ) -> tuple[int, int, int, int, list[Counterexample], dict[str, int]]:
     """Process flattened sweep indices [lo, hi). Sizes ascend from
-    min_edges; within a size, subsets ascend in colex order."""
+    min_edges; within a size, subsets come in itertools.combinations
+    order."""
     k, n, min_edges, lo, hi = args
     host = new_complete(k, n).edges()
-    m_host = len(host)
     threshold = edge_threshold(k, n)
-
-    # Locate the (size, colex rank) of index lo.
-    size = min_edges
-    offset = lo
-    while offset >= comb(m_host, size):
-        offset -= comb(m_host, size)
-        size += 1
-    subset = _unrank_colex(offset, size) if size else []
+    subsets = chain.from_iterable(
+        combinations(host, size) for size in range(min_edges, len(host) + 1)
+    )
 
     ham = non_ham = agreements = fallbacks = 0
     records: list[Counterexample] = []
     tags: dict[str, int] = {}
-    remaining_in_size = comb(m_host, size) - offset
-    for _ in range(hi - lo):
-        if remaining_in_size == 0:
-            size += 1
-            subset = list(range(size))
-            remaining_in_size = comb(m_host, size)
-        edges = [host[j] for j in subset]
+    for edges in islice(subsets, lo, hi):
         g = from_edge_list(k, n, edges)
         answer = is_hamiltonian(g)
         if answer.hamiltonian:
@@ -299,31 +265,33 @@ def _sweep_chunk(
                 failure = result.failure
                 if result.cycle is not None and not valid:
                     failure = "InvalidCycle"
-                records.append(
-                    Counterexample(tuple(edges), answer.hamiltonian, failure)
-                )
-        remaining_in_size -= 1
-        if remaining_in_size:
-            _next_colex(subset)
+                records.append(Counterexample(edges, answer.hamiltonian, failure))
     return ham, non_ham, agreements, fallbacks, records, tags
 
 
-def run_chunks(fn: Callable, chunks: Sequence, jobs: int) -> list:
-    """fn applied to each chunk, in chunk order; shared with extremal.
+def run_chunks(fn: Callable, head: tuple, total: int, jobs: int) -> list:
+    """Cut the index range [0, total) into max(1, min(jobs, total, CPU
+    count)) near-equal ranges and return fn((*head, lo, hi)) for each, in
+    range order; shared with extremal.
 
-    With jobs > 1 and more than one chunk, the chunks go to a process pool
-    of min(jobs, len(chunks), CPU count) workers: the pool starts every
-    worker up front, so a large jobs value must not fork that many. fn must
-    be a module-level function, since workers receive it by name.
+    Raises ValueError when jobs < 1. One range runs in this process; two or
+    more go to a process pool with one worker per range, so a large jobs
+    value forks no more workers than there are CPUs or indices. fn must be
+    a module-level function, since workers receive it by name.
     """
-    if jobs == 1 or len(chunks) <= 1:
-        return [fn(chunk) for chunk in chunks]
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
+    parts = max(1, min(jobs, total, os.cpu_count() or 1))
+    chunks = [
+        (*head, total * i // parts, total * (i + 1) // parts) for i in range(parts)
+    ]
+    if parts == 1:
+        return [fn(chunks[0])]
     # Imported here because the pool machinery adds ~2 MB to every process
-    # that loads it, and only runs with jobs > 1 use it.
+    # that loads it, and only runs with more than one range use it.
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=parts) as pool:
         return list(pool.map(fn, chunks))
 
 
@@ -338,8 +306,11 @@ def enumerate_threshold_sweep(
 
     The solver runs only on instances at or above the threshold, where it
     owes an answer; disagreements with the oracle are returned as
-    counterexamples (the expected count is zero). jobs sets the number of
-    chunks; at most min(jobs, chunks, CPU count) worker processes run them.
+    counterexamples (the expected count is zero), in sweep order: sizes
+    ascending, then itertools.combinations order over the host edges.
+    The sweep runs as max(1, min(jobs, instances, CPU count)) index
+    ranges; two or more run in a process pool, one worker each (see
+    run_chunks).
     Raises TooLarge when the host has more than HOST_EDGE_CAP edges, since
     the subset space doubles with each extra edge.
     """
@@ -352,21 +323,7 @@ def enumerate_threshold_sweep(
         min_edges = edge_threshold(k, n)
     min_edges = max(0, min_edges)
     total = sum(comb(host_count, m) for m in range(min_edges, host_count + 1))
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-
-    if total == 0:
-        chunks: list[tuple[int, int, int, int, int]] = []
-    elif jobs == 1:
-        chunks = [(k, n, min_edges, 0, total)]
-    else:
-        step = -(-total // jobs)
-        chunks = [
-            (k, n, min_edges, lo, min(total, lo + step))
-            for lo in range(0, total, step)
-        ]
-
-    parts = run_chunks(_sweep_chunk, chunks, jobs)
+    parts = run_chunks(_sweep_chunk, (k, n, min_edges), total, jobs)
 
     ham = non_ham = agreements = fallbacks = 0
     records: list[Counterexample] = []

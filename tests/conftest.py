@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import random
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
@@ -329,13 +330,15 @@ def all_subsets_of_size(k: int, n: int, m: int):
 @pytest.fixture
 def pool_widths(monkeypatch):
     """Replace concurrent.futures.ProcessPoolExecutor with an in-process
-    stand-in and return the list of max_workers values it is built with,
-    so pool sizing can be checked without starting a process."""
-    widths: list[int] = []
+    stand-in, so pool sizing can be checked without starting a process.
+    Returns a record whose widths list holds the max_workers value of each
+    pool built and whose chunks list holds how many chunks each map call
+    receives."""
+    record = SimpleNamespace(widths=[], chunks=[])
 
     class SerialPool:
         def __init__(self, max_workers):
-            widths.append(max_workers)
+            record.widths.append(max_workers)
 
         def __enter__(self):
             return self
@@ -344,7 +347,9 @@ def pool_widths(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            record.chunks.append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return widths
+    return record

@@ -215,6 +215,13 @@ class TestEnumerate:
         _, parallel, _ = invoke(capsys, "enumerate", "3", "2", "--jobs", "2")
         assert serial == parallel
 
+    def test_empty_sweep_at_two_jobs(self, capsys):
+        code, out, _ = invoke(
+            capsys, "enumerate", "2", "2", "--min-edges", "5", "--jobs", "2"
+        )
+        assert code == 0
+        assert "total 0\n" in out
+
     def test_too_wide_host(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "5", "2")
         assert code == 1

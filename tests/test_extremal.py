@@ -78,14 +78,15 @@ class TestFaultTrials:
 
     def test_pool_is_clamped_to_chunks_and_cpus(self, pool_widths, monkeypatch):
         serial = fault_tolerance_trial(3, 2, deletions=2, trials=20, seed=9)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         wide = fault_tolerance_trial(
             3, 2, deletions=2, trials=20, seed=9, jobs=10_000
         )
         assert wide == serial
-        assert pool_widths == [min(20, os.cpu_count() or 1)]
+        assert pool_widths.widths == pool_widths.chunks == [4]
         monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
         fault_tolerance_trial(3, 2, deletions=2, trials=20, seed=9, jobs=10_000)
-        assert pool_widths[-1] == 20  # one chunk per trial
+        assert pool_widths.widths[-1] == pool_widths.chunks[-1] == 20
 
     def test_budget_gate(self):
         with pytest.raises(BudgetExceeded, match="exceeds the budget"):

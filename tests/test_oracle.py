@@ -3,14 +3,14 @@ from __future__ import annotations
 import os
 import random
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import partite_graphs, perm_hamiltonian
+import kpham.oracle
 from kpham import (
+    SolveResult,
     TooLarge,
     enumerate_threshold_sweep,
     from_edge_list,
@@ -20,7 +20,7 @@ from kpham import (
     validate_hamilton_cycle,
 )
 from kpham.graph import adjacency_from_edges
-from kpham.oracle import _BACKTRACK_BUDGET, _next_colex, _unrank_colex
+from kpham.oracle import _BACKTRACK_BUDGET
 
 PETERSEN = adjacency_from_edges(
     10,
@@ -146,28 +146,6 @@ class TestDecision:
         assert ans.nodes_expanded == 0
 
 
-class TestColexOrder:
-    @pytest.mark.parametrize(("total", "size"), [(6, 3), (7, 2), (8, 4), (5, 5)])
-    def test_unrank_against_sorted_combinations(self, total, size):
-        expected = sorted(
-            combinations(range(total), size), key=lambda c: tuple(reversed(c))
-        )
-        for rank, combo in enumerate(expected):
-            assert tuple(_unrank_colex(rank, size)) == combo
-
-    def test_successor_chains_from_unrank(self):
-        size, total = 3, 7
-        cur = _unrank_colex(0, size)
-        seen = [tuple(cur)]
-        for _ in range(comb(total, size) - 1):
-            _next_colex(cur)
-            seen.append(tuple(cur))
-        assert seen == sorted(
-            combinations(range(total), size), key=lambda c: tuple(reversed(c))
-        )
-        assert len(set(seen)) == comb(total, size)
-
-
 class TestSweep:
     def test_smallest_case(self):
         s = enumerate_threshold_sweep(2, 2)
@@ -211,22 +189,47 @@ class TestSweep:
 
     def test_pool_is_clamped_to_chunks_and_cpus(self, pool_widths, monkeypatch):
         serial = enumerate_threshold_sweep(3, 2, jobs=1)
+        for cpus in (None, 1):  # one range runs in this process
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert enumerate_threshold_sweep(3, 2, jobs=10_000) == serial
+        assert pool_widths.widths == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert enumerate_threshold_sweep(3, 2, jobs=10_000) == serial
-        assert pool_widths == [min(serial.total, os.cpu_count() or 1)]
+        assert pool_widths.widths == pool_widths.chunks == [4]
         monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
         assert enumerate_threshold_sweep(3, 2, jobs=10_000) == serial
-        assert pool_widths[-1] == serial.total  # one chunk per instance
+        assert pool_widths.widths[-1] == pool_widths.chunks[-1] == serial.total
+
+    def test_counterexamples_keep_sweep_order(self, pool_widths, monkeypatch):
+        # 299 instances of 9 to 12 edges, in combinations order per size;
+        # the solver runs on the 79 of at least 10 edges, indices 220-298.
+        host = new_complete(3, 2).edges()
+        sweep = [c for size in range(9, 13) for c in combinations(host, size)]
+        # Under colex order 250 would come before 240. With 8 CPUs,
+        # jobs=10_000 cuts the indices at 186, 224 and 261, so the four
+        # fall in three ranges.
+        failing = [sweep[i] for i in (221, 240, 250, 298)]
+        real_solve = kpham.oracle.solve
+
+        def solve(g):
+            if tuple(g.edges()) in failing:
+                return SolveResult(None, (), "Injected")
+            return real_solve(g)
+
+        monkeypatch.setattr(kpham.oracle, "solve", solve)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        serial, three, wide = (
+            enumerate_threshold_sweep(3, 2, min_edges=9, jobs=jobs)
+            for jobs in (1, 3, 10_000)
+        )
+        assert pool_widths.chunks == [3, 8]
+        assert serial == three == wide
+        assert [c.edges for c in serial.counterexamples] == failing
+        assert {c.solver_failure for c in serial.counterexamples} == {"Injected"}
+        assert serial.solver_agreements == 79 - len(failing)
 
     def test_min_edges_above_host_is_empty(self):
         s = enumerate_threshold_sweep(2, 2, min_edges=5)
         assert s.total == 0
         assert s.branch_tags == ()
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, comb(9, 4) - 1))
-    def test_unrank_matches_iteration_order(self, rank):
-        combo = _unrank_colex(rank, 4)
-        walk = _unrank_colex(0, 4)
-        for _ in range(rank):
-            _next_colex(walk)
-        assert walk == combo
+        assert enumerate_threshold_sweep(2, 2, min_edges=5, jobs=2) == s
