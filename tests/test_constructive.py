@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 from conftest import partite_graphs, perm_hamiltonian
 from kpham import (
+    ConstructionFailed,
     HypothesisNotMet,
     InvalidCycle,
     InvalidPath,
@@ -175,6 +176,21 @@ class TestTransversalPath:
         with pytest.raises(HypothesisNotMet, match="fewer than 2 parts"):
             build_transversal_path(g, anchor=2, forbidden=4)
 
+    @pytest.mark.parametrize(
+        ("drop", "fragment"),
+        [
+            # leads with 1, then 4; vertex 4 has no part-3 neighbor left
+            ([(4, 6), (4, 7)], "part-3 neighbor after vertex 4"),
+            # no lead into part 0, so 4, 2, 6 and then part 0, where 6
+            # still sees the forbidden vertex 0 but not 1
+            ([(0, 2), (1, 2), (1, 6)], "part-0 neighbor after vertex 6"),
+        ],
+    )
+    def test_dead_end_names_part_and_vertex(self, drop, fragment):
+        g, _ = remove_edges(new_complete(4, 2), drop)
+        with pytest.raises(ConstructionFailed, match=fragment):
+            build_transversal_path(g, anchor=2, forbidden=0)
+
 
 class TestTwoPaths:
     def _concentrated(self):
@@ -201,6 +217,38 @@ class TestTwoPaths:
         one, _ = build_two_disjoint_transversal_paths(g, anchor=0, forbidden=6)
         assert one[-1] // 3 == 2
         assert one[-1] != 6
+
+    def test_forbidden_free_for_second_path_at_k3(self):
+        # 6 is kept off the first path's final stop only; the second path
+        # takes it as its lowest part-2 neighbor of 4
+        g = self._concentrated()
+        one, two = build_two_disjoint_transversal_paths(g, anchor=0, forbidden=6)
+        assert one == (0, 3, 7)
+        assert two == (0, 4, 6, 1)
+
+    def test_forbidden_taken_as_inner_stop_at_k4(self):
+        # anchor 0 sees only part 1; the forbidden part 2 is the second of
+        # three stops, so its lowest vertex 4 is taken
+        g, _ = remove_edges(new_complete(4, 2), [(0, 4), (0, 5), (0, 6), (0, 7)])
+        one, two = build_two_disjoint_transversal_paths(g, anchor=0, forbidden=4)
+        assert one == (0, 2, 4, 6)
+        assert two == (0, 3, 5, 7, 1)
+
+    @pytest.mark.parametrize(
+        ("drop", "fragment"),
+        [
+            # first path: 0, 2 and then no part-2 neighbor of 2
+            ([(2, 4), (2, 5)], r"part-2 neighbor after vertex 2$"),
+            # second path: 0, 3 and then no unused part-2 neighbor of 3
+            ([(3, 5)], r"part-2 neighbor after vertex 3$"),
+            # twin end: 0, 3, 5 and then no unused part-0 vertex next to 5
+            ([(1, 5)], r"part-0 .*after vertex 5$"),
+        ],
+    )
+    def test_dead_end_names_part_and_vertex(self, drop, fragment):
+        g, _ = remove_edges(new_complete(3, 2), [(0, 4), (0, 5), *drop])
+        with pytest.raises(ConstructionFailed, match=fragment):
+            build_two_disjoint_transversal_paths(g, anchor=0)
 
     def test_spread_anchor_rejected(self):
         g = new_complete(3, 2)
