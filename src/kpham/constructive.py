@@ -5,12 +5,13 @@ and produces a Hamilton cycle by the route matching the instance shape:
 
 * n == 1          edge bound implies the degree-sum condition; rotation build
 * k == 2          degree-sum closure over cross pairs at bound n + 1
-* n == 2          degree-sum closure over all pairs at bound N when the sigma
-                  bound holds, otherwise induction dropping a part
-* k >= 3, n >= 3  all-pairs closure when the sigma bound holds, otherwise peel a
-                  transversal path (or two) around a minimum-degree-sum pair,
-                  recurse on the balanced remainder, and stitch the pieces
-                  along a matching edge of the remainder cycle
+* k >= 3, n >= 2  degree-sum closure over all pairs at bound N when the sigma
+                  bound holds; otherwise take a minimum-degree-sum pair and
+                  - at n == 2, drop the part of its lower-degree vertex, solve
+                    the (k-1)-part remainder, and reattach the two vertices;
+                  - at n >= 3, peel a transversal path (or two) through that
+                    vertex, recurse on the balanced remainder, and stitch the
+                    pieces along a matching edge of the remainder cycle
 
 Every branch records a tag in SolveResult.trace. When a constructive route
 runs out of admissible moves the solver falls back to exhaustive search,
@@ -36,7 +37,7 @@ from .errors import (
     KphamError,
     StitchFailed,
 )
-from .graph import GraphStats, KPartiteGraph, add_edge, bits, part_masks, stats
+from .graph import KPartiteGraph, add_edge, bits, part_masks, stats
 from .paths import canonical_cycle, validate_hamilton_path, validate_path
 
 logger = logging.getLogger(__name__)
@@ -351,15 +352,7 @@ def build_transversal_path(
 
     path = [first, anchor, third]
     used = (1 << first) | (1 << anchor) | (1 << third) | (1 << forbidden)
-    for part in tail_parts:
-        cand = g.adj[path[-1]] & blocks[part] & ~used
-        if not cand:
-            raise ConstructionFailed(
-                f"no admissible part-{part} neighbor after vertex {path[-1]}"
-            )
-        nxt = (cand & -cand).bit_length() - 1
-        path.append(nxt)
-        used |= 1 << nxt
+    _walk(g, path, tail_parts, used)
     return tuple(path)
 
 
@@ -394,39 +387,33 @@ def build_two_disjoint_transversal_paths(
         order = [q] + sorted(set(range(k)) - {p_anchor, q})
     else:
         order = [q, p_forb] + sorted(set(range(k)) - {p_anchor, q, p_forb})
-    blocks = part_masks(k, n)
-
-    used = 1 << anchor
-    paths: list[list[int]] = []
-    for _ in range(2):
-        path = [anchor]
-        for pos, part in enumerate(order):
-            cand = g.adj[path[-1]] & blocks[part] & ~used
-            if (
-                len(paths) == 0
-                and forbidden is not None
-                and pos == len(order) - 1
-                and part == p_forb
-            ):
-                cand &= ~(1 << forbidden)
-            if not cand:
-                raise ConstructionFailed(
-                    f"no admissible part-{part} neighbor after vertex {path[-1]}"
-                )
-            nxt = (cand & -cand).bit_length() - 1
-            path.append(nxt)
-            used |= 1 << nxt
-        paths.append(path)
-    first, second = paths
+    # The forbidden vertex is kept off the first path's last stop only; the
+    # second path may take it.
+    ban = 1 << forbidden if order[-1] == p_forb else 0
+    first, second = [anchor], [anchor]
+    used = _walk(g, first, order[:-1], 1 << anchor)
+    used = _walk(g, first, order[-1:], used | ban) & ~ban
     # The second path hops back to the anchor's part to pick up its twin end.
-    cand = g.adj[second[-1]] & blocks[p_anchor] & ~used
-    if not cand:
-        raise ConstructionFailed(
-            f"no part-{p_anchor} end available after vertex {second[-1]}"
-        )
-    twin = (cand & -cand).bit_length() - 1
-    second.append(twin)
+    _walk(g, second, order + [p_anchor], used)
     return tuple(first), tuple(second)
+
+
+def _walk(g: KPartiteGraph, path: list[int], parts: Iterable[int], used: int) -> int:
+    """Extend path by one vertex in each of parts, in order, always taking
+    the lowest-id neighbor of the current end that lies in the part and
+    outside used. Returns used with the new vertices added; a dead end
+    raises ConstructionFailed naming the part and the stuck vertex."""
+    blocks = part_masks(g.k, g.n)
+    for part in parts:
+        cand = g.adj[path[-1]] & blocks[part] & ~used
+        if not cand:
+            raise ConstructionFailed(
+                f"no admissible part-{part} neighbor after vertex {path[-1]}"
+            )
+        nxt = (cand & -cand).bit_length() - 1
+        path.append(nxt)
+        used |= 1 << nxt
+    return used
 
 
 def stitch_matching(
@@ -514,28 +501,6 @@ def _induced(
     return KPartiteGraph(k, n, tuple(rows)), keep
 
 
-def _sigma_pair(g: KPartiteGraph, st: GraphStats) -> tuple[int, int]:
-    """st.sigma_pair ordered with the lower-degree endpoint first."""
-    u, v = st.sigma_pair
-    if g.degree(v) < g.degree(u):
-        return v, u
-    return u, v
-
-
-def _complete_between_rest(g: KPartiteGraph, x: int, y: int) -> bool:
-    """True when every cross-part pair outside {x, y} is adjacent."""
-    skip = (1 << x) | (1 << y)
-    blocks = part_masks(g.k, g.n)
-    full = (1 << g.num_vertices) - 1
-    for u in range(g.num_vertices):
-        if skip >> u & 1:
-            continue
-        wanted = full & ~blocks[u // g.n] & ~skip & ~((1 << (u + 1)) - 1)
-        if g.adj[u] & wanted != wanted:
-            return False
-    return True
-
-
 # =====================================================================
 # solve dispatch
 # =====================================================================
@@ -567,58 +532,107 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
     return cyc
 
 
-def _solve_n2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
-    trace.append(BASE_N2)
+def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
+    """k >= 3, n >= 2.
+
+    Under the sigma bound the all-pairs closure at bound N completes: for
+    k != 4 the bound means every nonadjacent pair sums to at least N, and
+    the exhaustive (4,2) sweep shows no stall at k == 4. Otherwise take the
+    minimum-degree-sum pair, lower-degree vertex first, and peel around it
+    (n >= 3) or drop its part (n == 2).
+    """
+    if g.n == 2:
+        trace.append(BASE_N2)
     st = stats(g)
     if meets_sigma_bound(g.k, g.n, st.sigma):
         cyc = _complete_closure(g)
-        if cyc is not None:
+        if cyc is None:
+            _log_fallback(g, "degree-sum closure did not complete")
+        else:
             trace.append(LEMMA_CLOSURE)
-            return cyc
-        # The closure can stall only when some pair sums to exactly 2k-1
-        # (k=4 admits that under the sigma bound); the induction below
-        # covers that shape, so fall through rather than give up.
-    return _solve_n2_induction(g, st, trace)
-
-
-def _solve_n2_induction(
-    g: KPartiteGraph, st: GraphStats, trace: list[str]
-) -> tuple[int, ...] | None:
-    """k >= 3, n == 2, degree-sum minimum exactly 2k-1.
-
-    Outside the minimizing pair the graph must be complete multipartite;
-    drop the lower-degree endpoint's part, solve the (k-1)-part remainder,
-    insert the endpoint next to two of its neighbors on the remainder
-    cycle (or reroute when its neighbors are separated), and finish by
-    closing a Hamilton path that picks up the endpoint's part twin.
-    """
-    if st.sigma != 2 * g.k - 1:
-        _log_fallback(g, f"unexpected degree-sum minimum {st.sigma} at n=2")
+        return cyc
+    low, high = st.sigma_pair
+    if g.degree(high) < g.degree(low):
+        low, high = high, low
+    if g.n > 2:
+        return _peel(g, low, high, trace)
+    # At n == 2 the threshold leaves at most 2k-4 edges missing, so here the
+    # pair sums to exactly 2k-1, every missing edge touches it, and dropping
+    # low's part leaves a (k-1)-part remainder at its own threshold. Insert
+    # low into the remainder cycle next to two of its neighbors (or reroute
+    # when they are apart), then close a Hamilton path through its twin.
+    sub, keep = _induced(g, (low & ~1, low | 1), g.k - 1, 2)
+    cyc = _solve_remainder(g, sub, keep, trace)
+    if cyc is None:
         return None
-    low, high = _sigma_pair(g, st)
-    if not _complete_between_rest(g, low, high):
-        _log_fallback(g, "graph minus the minimizing pair is not complete")
-        return None
-    part = low // g.n
-    sub, keep = _induced(g, range(part * g.n, (part + 1) * g.n), g.k - 1, g.n)
-    if sub.edge_count < edge_threshold(g.k - 1, 2):
-        _log_fallback(g, "part-removal remainder below threshold")
-        return None
-    sub_result = solve(sub)
-    trace.extend(sub_result.trace)
-    if sub_result.cycle is None:
-        _log_fallback(g, "part-removal recursion failed")
-        return None
-    cyc = [keep[i] for i in sub_result.cycle]
-    twin = next(
-        v for v in range(g.num_vertices) if v // g.n == low // g.n and v != low
-    )
-    full = _attach_pair_and_close(g, cyc, low, twin)
+    full = _attach_pair_and_close(g, cyc, low, low ^ 1)
     if full is None:
         _log_fallback(g, "could not reattach the dropped part")
         return None
     trace.append(LEMMA_CLOSURE)
     return full
+
+
+def _peel(
+    g: KPartiteGraph, anchor: int, avoid: int, trace: list[str]
+) -> tuple[int, ...] | None:
+    """k >= 3, n >= 3, sigma bound failed at the pair (anchor, avoid).
+
+    Case 1, the anchor's neighborhood meets two or more parts: peel one
+    transversal path through the anchor. Case 2, it sits in one part: peel
+    two disjoint transversal paths sharing the anchor and join them into
+    one walk. Then solve the (n-1)- or (n-2)-balanced remainder and stitch
+    the walk to its cycle along a matching edge.
+    """
+    k, n = g.k, g.n
+    if len({w // n for w in bits(g.adj[anchor])}) >= 2:
+        tag, rest, drop = CASE_1, n - 1, (1 << anchor) | (1 << avoid)
+        bound = (k - 2) * n
+    else:
+        tag, rest, drop = CASE_2, n - 2, 1 << anchor
+        bound = (k - 2) * n + 1
+    trace.append(tag)
+    floor = min(
+        (g.adj[w] & ~drop).bit_count()
+        for w in range(g.num_vertices)
+        if not drop >> w & 1
+    )
+    if floor < bound:
+        _log_fallback(g, f"degree floor {floor} below {bound}")
+        return None
+    try:
+        if tag == CASE_1:
+            walk = build_transversal_path(g, anchor, avoid)
+        else:
+            one, two = build_two_disjoint_transversal_paths(g, anchor, avoid)
+            walk = two[::-1] + one[1:]
+    except KphamError as exc:
+        _log_fallback(g, f"transversal paths failed: {exc}")
+        return None
+    sub, keep = _induced(g, walk, k, rest)
+    cyc = _solve_remainder(g, sub, keep, trace)
+    if cyc is None:
+        return None
+    try:
+        full = stitch_matching(g, walk, cyc, avoid)
+    except StitchFailed as exc:
+        _log_fallback(g, str(exc))
+        return None
+    trace.append(MATCH_STITCH)
+    return full
+
+
+def _solve_remainder(
+    g: KPartiteGraph, sub: KPartiteGraph, keep: list[int], trace: list[str]
+) -> list[int] | None:
+    """Solve the remainder sub (keep[i] is g's id of its vertex i), append
+    its trace, and return its cycle in g's ids, or None when it has none."""
+    result = solve(sub)
+    trace.extend(result.trace)
+    if result.cycle is None:
+        _log_fallback(g, f"remainder solve failed: {result.failure}")
+        return None
+    return [keep[i] for i in result.cycle]
 
 
 def _attach_pair_and_close(
@@ -676,106 +690,6 @@ def _attach_last_and_close(
     return None
 
 
-def _solve_general(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
-    st = stats(g)
-    if meets_sigma_bound(g.k, g.n, st.sigma):
-        cyc = _complete_closure(g)
-        if cyc is not None:
-            trace.append(LEMMA_CLOSURE)
-            return cyc
-        _log_fallback(g, "degree-sum closure did not complete")
-        return None
-    anchor, avoid = _sigma_pair(g, st)
-    nbr_parts = {w // g.n for w in bits(g.adj[anchor])}
-    if len(nbr_parts) >= 2:
-        return _case_spread(g, anchor, avoid, trace)
-    return _case_concentrated(g, anchor, avoid, trace)
-
-
-def _case_spread(
-    g: KPartiteGraph, anchor: int, avoid: int, trace: list[str]
-) -> tuple[int, ...] | None:
-    """Anchor's neighborhood meets two or more parts: peel one transversal
-    path through the anchor, recurse on the (n-1)-balanced remainder, and
-    stitch along a matching edge of the remainder cycle."""
-    trace.append(CASE_1)
-    k, n = g.k, g.n
-    drop_two = (1 << anchor) | (1 << avoid)
-    floor = min(
-        (g.adj[w] & ~drop_two).bit_count()
-        for w in range(g.num_vertices)
-        if not drop_two >> w & 1
-    )
-    if floor < (k - 2) * n:
-        _log_fallback(g, "working-subgraph degree floor absent in spread case")
-        return None
-    try:
-        pathway = build_transversal_path(g, anchor, avoid)
-    except KphamError as exc:
-        _log_fallback(g, f"transversal path failed: {exc}")
-        return None
-    sub, keep = _induced(g, pathway, k, n - 1)
-    missing = sub.host_edge_count() - sub.edge_count
-    if missing > (k - 1) * (n - 1) - 2:
-        _log_fallback(g, f"remainder misses {missing} edges, beyond the bound")
-        return None
-    sub_result = solve(sub)
-    trace.extend(sub_result.trace)
-    if sub_result.cycle is None:
-        _log_fallback(g, "spread-case recursion failed")
-        return None
-    rem_cycle = tuple(keep[i] for i in sub_result.cycle)
-    try:
-        full = stitch_matching(g, pathway, rem_cycle, avoid)
-    except StitchFailed as exc:
-        _log_fallback(g, str(exc))
-        return None
-    trace.append(MATCH_STITCH)
-    return full
-
-
-def _case_concentrated(
-    g: KPartiteGraph, anchor: int, avoid: int, trace: list[str]
-) -> tuple[int, ...] | None:
-    """Anchor's neighborhood sits in a single part: peel two disjoint
-    transversal paths through the anchor, recurse on the (n-2)-balanced
-    remainder, and stitch the concatenated walk to the remainder cycle."""
-    trace.append(CASE_2)
-    k, n = g.k, g.n
-    drop_one = 1 << anchor
-    floor = min(
-        (g.adj[w] & ~drop_one).bit_count()
-        for w in range(g.num_vertices)
-        if w != anchor
-    )
-    if floor < (k - 2) * n + 1:
-        _log_fallback(g, "degree floor absent in concentrated case")
-        return None
-    try:
-        path_one, path_two = build_two_disjoint_transversal_paths(g, anchor, avoid)
-    except KphamError as exc:
-        _log_fallback(g, f"two-path construction failed: {exc}")
-        return None
-    sub, keep = _induced(g, path_one + path_two, k, n - 2)
-    if sub.edge_count < edge_threshold(k, n - 2):
-        _log_fallback(g, "two-path remainder below threshold")
-        return None
-    sub_result = solve(sub)
-    trace.extend(sub_result.trace)
-    if sub_result.cycle is None:
-        _log_fallback(g, "concentrated-case recursion failed")
-        return None
-    rem_cycle = tuple(keep[i] for i in sub_result.cycle)
-    walk = list(reversed(path_two)) + list(path_one[1:])
-    try:
-        full = stitch_matching(g, walk, rem_cycle, avoid)
-    except StitchFailed as exc:
-        _log_fallback(g, str(exc))
-        return None
-    trace.append(MATCH_STITCH)
-    return full
-
-
 def solve(g: KPartiteGraph) -> SolveResult:
     """Decide and construct a Hamilton cycle under the edge threshold.
 
@@ -794,10 +708,8 @@ def solve(g: KPartiteGraph) -> SolveResult:
         cyc = _solve_n1(g, trace)
     elif g.k == 2:
         cyc = _solve_k2(g, trace)
-    elif g.n == 2:
-        cyc = _solve_n2(g, trace)
     else:
-        cyc = _solve_general(g, trace)
+        cyc = _solve_multi(g, trace)
     if cyc is None:
         trace.append(SEARCH_FALLBACK)
         found = _search_hamilton(g.adj)

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import partite_graphs, perm_hamiltonian
+from conftest import host_edges, partite_graphs, perm_hamiltonian
 from kpham import (
     ConstructionFailed,
     HypothesisNotMet,
@@ -484,6 +488,91 @@ class TestSolveTheorem11:
             checked += 1
         assert checked == 196
         assert negatives == 12
+
+
+# ---- degree-sum facts at n = 2 -------------------------------------------
+#
+# The n = 2 route checks none of these at run time. With at most 2k-4 cross
+# edges missing, every nonadjacent cross pair sums to at least 2k-1. Where
+# the sigma bound fails the minimum is exactly 2k-1, every missing edge
+# touches each pair attaining it, and dropping the part of the pair's
+# lower-degree vertex leaves a (k-1)-part remainder at its threshold. Where
+# the bound holds and k != 4, every nonadjacent pair, twins included, sums
+# to at least N, so the all-pairs closure completes. Everything is computed
+# here from the definitions, not through the solver.
+
+
+def _check_n2_facts(k: int, dropped) -> bool:
+    """Assert the facts for the (k, 2) host minus dropped; return whether
+    the sigma bound failed."""
+    count = 2 * k
+    missing = {(min(u, v), max(u, v)) for u, v in dropped}
+    assert len(missing) <= 2 * k - 4
+
+    def adjacent(u, v):
+        return u // 2 != v // 2 and (min(u, v), max(u, v)) not in missing
+
+    deg = [sum(adjacent(u, v) for v in range(count)) for u in range(count)]
+    sums = {pair: deg[pair[0]] + deg[pair[1]] for pair in missing}
+    sigma = min(sums.values(), default=None)
+    # the sigma bound at n = 2: sigma > 2(k - 2/(k+1)), or 2(k - 4/(k+2)) at even k
+    bound = 2 * (k - (Fraction(2, k + 1) if k % 2 else Fraction(4, k + 2)))
+    if sigma is None or sigma > bound:
+        if k != 4:
+            twins = [deg[2 * p] + deg[2 * p + 1] for p in range(k)]
+            assert min(sums.values(), default=count) >= count
+            assert min(twins) >= count
+        return False
+    assert sigma == 2 * k - 1
+    for (u, v), total in sums.items():
+        if total != sigma:
+            continue
+        assert all(u in edge or v in edge for edge in missing)
+        for low, high in ((u, v), (v, u)):
+            if deg[low] > deg[high]:
+                continue
+            kept = [e for e in missing if low // 2 not in (e[0] // 2, e[1] // 2)]
+            assert comb(k - 1, 2) * 4 - len(kept) >= edge_threshold(k - 1, 2)
+    return True
+
+
+@st.composite
+def _n2_deletion_sets(draw):
+    """(k, deletion set) at n = 2 within the budget 2k-4; half the draws
+    take every deleted edge at one of two vertices."""
+    k = draw(st.integers(3, 12))
+    pool = host_edges(k, 2)
+    if draw(st.booleans()):
+        ends = draw(st.sets(st.integers(0, 2 * k - 1), min_size=2, max_size=2))
+        pool = [e for e in pool if ends & set(e)]
+    size = draw(st.integers(0, 2 * k - 4))
+    drop = st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)
+    return k, draw(drop)
+
+
+def _star_at_zero(k):
+    # vertex 0 loses (0, 2) and 2k-5 more edges: sigma 2k-1 at (0, 2)
+    return k, [(0, 2)] + [(0, w) for w in range(4, 2 * k - 1)]
+
+
+class TestN2DegreeSumFacts:
+    @settings(max_examples=300, deadline=None)
+    @given(_n2_deletion_sets())
+    @example(_star_at_zero(3))
+    @example(_star_at_zero(7))
+    @example(_star_at_zero(12))
+    def test_within_budget(self, case):
+        _check_n2_facts(*case)
+
+    @pytest.mark.parametrize(("k", "bound_failures"), [(3, 36), (4, 0)])
+    def test_exhaustive(self, k, bound_failures):
+        host = host_edges(k, 2)
+        failures = sum(
+            _check_n2_facts(k, dropped)
+            for size in range(2 * k - 3)
+            for dropped in combinations(host, size)
+        )
+        assert failures == bound_failures
 
 
 # ---- golden outputs ------------------------------------------------------
