@@ -97,29 +97,29 @@ class FaultReport:
 
 
 def _decide_instance(
-    g: KPartiteGraph, threshold: int, oracle_cap: int, cross_check: bool
+    g: KPartiteGraph, threshold: int, cross_check: bool
 ) -> tuple[bool, bool, bool]:
     """Return (hamiltonian, used_fallback, disagreement) for one instance."""
     if g.edge_count >= threshold:
         result = solve(g)
         fallback = SEARCH_FALLBACK in result.trace
         alive = result.cycle is not None and is_hamilton_cycle(g.adj, result.cycle)
-        if cross_check and g.num_vertices <= oracle_cap:
-            truth = is_hamiltonian(g, max_vertices=oracle_cap).hamiltonian
+        if cross_check and g.num_vertices <= ORACLE_VERTEX_CAP:
+            truth = is_hamiltonian(g).hamiltonian
             return alive, fallback, alive != truth
         return alive, fallback, False
-    if g.num_vertices > oracle_cap:
+    if g.num_vertices > ORACLE_VERTEX_CAP:
         raise TooLarge(
             "below-threshold instances need the oracle, and"
-            f" {g.num_vertices} vertices exceeds its cap of {oracle_cap}"
+            f" {g.num_vertices} vertices exceeds its cap of {ORACLE_VERTEX_CAP}"
         )
-    return is_hamiltonian(g, max_vertices=oracle_cap).hamiltonian, False, False
+    return is_hamiltonian(g).hamiltonian, False, False
 
 
 def _fault_chunk(
-    args: tuple[int, int, int, int | None, bool, int, bool, int, int],
+    args: tuple[int, int, int, int | None, bool, bool, int, int],
 ) -> tuple[int, int, int, list[tuple[tuple[int, int], ...]]]:
-    k, n, deletions, seed, exhaustive, oracle_cap, cross_check, lo, hi = args
+    k, n, deletions, seed, exhaustive, cross_check, lo, hi = args
     host = new_complete(k, n).edges()
     threshold = edge_threshold(k, n)
     survived = fallbacks = disagreements = 0
@@ -135,9 +135,7 @@ def _fault_chunk(
     base = new_complete(k, n)
     for dropped in picks:
         g, _ = remove_edges(base, dropped)
-        alive, fallback, mismatch = _decide_instance(
-            g, threshold, oracle_cap, cross_check
-        )
+        alive, fallback, mismatch = _decide_instance(g, threshold, cross_check)
         if alive:
             survived += 1
         else:
@@ -155,7 +153,6 @@ def fault_tolerance_trial(
     seed: int | None = None,
     exhaustive: bool = False,
     allow_over_budget: bool = False,
-    oracle_cap: int = ORACLE_VERTEX_CAP,
     jobs: int = 1,
     cross_check: bool = True,
 ) -> FaultReport:
@@ -196,7 +193,7 @@ def fault_tolerance_trial(
         if trials < 1:
             raise ValueError("trials must be at least 1")
         total = trials
-    head = (k, n, deletions, seed, exhaustive, oracle_cap, cross_check)
+    head = (k, n, deletions, seed, exhaustive, cross_check)
     parts = run_chunks(_fault_chunk, head, total, jobs)
 
     survived = fallbacks = disagreements = 0

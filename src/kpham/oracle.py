@@ -54,7 +54,6 @@ class OracleAnswer:
 def is_hamiltonian(
     graph: KPartiteGraph | Sequence[int],
     method: str = "auto",
-    max_vertices: int = ORACLE_VERTEX_CAP,
 ) -> OracleAnswer:
     """Decide Hamiltonicity exactly, returning a witness cycle when one
     exists.
@@ -65,14 +64,14 @@ def is_hamiltonian(
     budget runs out; the other two run their procedure unbounded. The
     answer's method names the procedure that decided (never "auto"), and
     nodes_expanded counts the nodes of every procedure that ran, spent
-    budget included. Raises TooLarge past max_vertices: the procedures are
-    exponential and the cap keeps misuse loud.
+    budget included. Raises TooLarge past ORACLE_VERTEX_CAP vertices: the
+    procedures are exponential and the cap keeps misuse loud.
     """
     rows = tuple(graph.adj) if isinstance(graph, KPartiteGraph) else tuple(graph)
     n_vertices = len(rows)
-    if n_vertices > max_vertices:
+    if n_vertices > ORACLE_VERTEX_CAP:
         raise TooLarge(
-            f"{n_vertices} vertices exceeds the oracle cap of {max_vertices}"
+            f"{n_vertices} vertices exceeds the oracle cap of {ORACLE_VERTEX_CAP}"
         )
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError(f"unknown oracle method {method!r}")
