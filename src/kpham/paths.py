@@ -67,8 +67,6 @@ def canonical_cycle(seq: Sequence[int]) -> tuple[int, ...]:
         raise InvalidCycle("empty cycle")
     pos = seq.index(min(seq))
     rotated = tuple(seq[pos:]) + tuple(seq[:pos])
-    forward_second = rotated[1]
-    backward_second = rotated[-1]
-    if backward_second < forward_second:
-        rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
+    if len(rotated) > 2 and rotated[-1] < rotated[1]:
+        rotated = (rotated[0],) + rotated[:0:-1]
     return rotated

@@ -83,6 +83,10 @@ class TestCanonicalCycle:
         with pytest.raises(InvalidCycle):
             canonical_cycle([])
 
+    def test_short_sequences(self):
+        assert canonical_cycle([4]) == (4,)
+        assert canonical_cycle([5, 2]) == (2, 5)
+
     @settings(max_examples=200, deadline=None)
     @given(st.permutations(list(range(6))), st.integers(0, 5), st.booleans())
     def test_invariant_under_rotation_and_reversal(self, perm, shift, flip):
