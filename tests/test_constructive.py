@@ -9,6 +9,7 @@ enough, plus determinism and trace-vocabulary invariants.
 from __future__ import annotations
 
 import hashlib
+import logging
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -660,6 +661,13 @@ GOLDEN_LITERALS = [
         'cycle 0 6 5 1 3 2 7 4 8\ntrace T11AddEdge,Case2,SearchFallback\n',
     ),
     (
+        # the part-drop cannot insert vertex 8 between two consecutive
+        # neighbours, so it reroutes and closes through a crossing pair
+        5, 2, [(0, 8), (1, 8), (1, 9), (4, 8), (5, 8), (7, 8)],
+        'cycle 0 2 8 3 1 4 9 6 5 7\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 2 1 4 7 5 9 3 8 6\ntrace T11AddEdge,SearchFallback\n',
+    ),
+    (
         4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
         'cycle 0 10 7 9 6 5 2 4 1 3 8 11\ntrace LemmaClosure\n',
         'cycle 0 9 4 6 2 11 8 5 1 7 3 10\ntrace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch\n',
@@ -687,3 +695,17 @@ class TestGolden:
             digest.update((evaluate(g).as_record() + "\n").encode())
         assert tags == TRACE_TAGS - {"T11AddEdge", "SearchFallback"}
         assert digest.hexdigest() == GOLDEN_BATCH_SHA256
+
+    def test_gap_log(self, caplog):
+        caplog.set_level(logging.INFO, logger="kpham.constructive")
+        g, _ = remove_edges(new_complete(3, 3), [(0, 3), (0, 4), (0, 5), (2, 5)])
+        solve(g)
+        records = [r for r in caplog.records if r.name == "kpham.constructive"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert records[0].getMessage().startswith(
+            "constructive gap: remainder solve failed: HypothesisNotMet [k=3 n=3"
+        )
+        caplog.clear()
+        g, _ = remove_edges(new_complete(3, 3), [(0, 4), (0, 6), (0, 8), (1, 8)])
+        solve(g)
+        assert not [r for r in caplog.records if r.name == "kpham.constructive"]
