@@ -13,10 +13,12 @@ and produces a Hamilton cycle by the route matching the instance shape:
                     vertex, recurse on the balanced remainder, and stitch the
                     pieces along a matching edge of the remainder cycle
 
-Every branch records a tag in SolveResult.trace. When a constructive route
-runs out of admissible moves the solver falls back to exhaustive search,
-tags the trace with SearchFallback, and logs the instance, so the gap rate
-between guaranteed hypotheses and realized constructions stays measurable.
+Every branch records a tag in SolveResult.trace. A route that runs out of
+admissible moves raises ConstructionFailed; solve() catches it in one place,
+falls back to exhaustive search, tags the trace with SearchFallback, and
+logs the reason and the instance at INFO, so the gap rate between guaranteed
+hypotheses and realized constructions stays measurable. A nested solve() of
+a remainder catches and logs its own gaps.
 
 Determinism contract: every choice (neighbor, pair, matching edge, branch
 order) is resolved lowest-id first, and cycles are returned in canonical
@@ -30,13 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .conditions import check_ore, edge_threshold, meets_sigma_bound
-from .errors import (
-    ConstructionFailed,
-    HypothesisNotMet,
-    InvalidCycle,
-    KphamError,
-    StitchFailed,
-)
+from .errors import ConstructionFailed, HypothesisNotMet, InvalidCycle, StitchFailed
 from .graph import KPartiteGraph, add_edge, bits, part_masks, stats
 from .paths import canonical_cycle, validate_hamilton_path, validate_path
 
@@ -116,19 +112,16 @@ def _log_fallback(g: KPartiteGraph, reason: str) -> None:
 # =====================================================================
 
 
-def _close(rows: Sequence[int], path: list[int], bound: int) -> list[int] | None:
+def _close(rows: Sequence[int], path: list[int]) -> list[int] | None:
     """Close a path into a cycle on the same vertex set.
 
-    If the ends are adjacent the path closes directly. If their degrees sum
-    below bound (0 never refuses), returns None. Otherwise reroute through
-    the first index i with path[0] ~ path[i] and path[-1] ~ path[i-1];
-    returns None when no index qualifies.
+    If the ends are adjacent the path closes directly. Otherwise reroute
+    through the first index i with path[0] ~ path[i] and path[-1] ~
+    path[i-1]; returns None when no index qualifies.
     """
     first, last = path[0], path[-1]
     if rows[first] >> last & 1:
         return list(path)
-    if rows[first].bit_count() + rows[last].bit_count() < bound:
-        return None
     for i in range(2, len(path) - 1):
         if rows[first] >> path[i] & 1 and rows[last] >> path[i - 1] & 1:
             return path[:i] + path[i:][::-1]
@@ -160,7 +153,7 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
     end_sum = rows[path[0]].bit_count() + rows[path[-1]].bit_count()
     if end_sum < len(rows):
         raise HypothesisNotMet(f"end degree sum {end_sum} is below {len(rows)}")
-    cyc = _close(rows, list(path), len(rows))
+    cyc = _close(rows, list(path))
     if cyc is None:
         raise ConstructionFailed("no crossing pair despite the degree bound")
     return canonical_cycle(cyc)
@@ -185,7 +178,7 @@ def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
     mask = 1
     for _ in range(n_vertices + 1):
         mask = _extend_maximal(rows, path, mask)
-        cyc = _close(rows, path, 0)
+        cyc = _close(rows, path)
         if cyc is None:
             raise ConstructionFailed("stuck path has no crossing pair")
         if len(cyc) == n_vertices:
@@ -294,7 +287,7 @@ def _closure_cycle(
         rows[v] &= ~(1 << u)
         path = _open_at(cycle, u, v)
         if path is not None:
-            cycle = _close(rows, path, 0)
+            cycle = _close(rows, path)
             if cycle is None:
                 return None
     return canonical_cycle(cycle)
@@ -506,33 +499,29 @@ def _induced(
 # =====================================================================
 
 
-def _solve_n1(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
+def _solve_n1(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     trace.append(BASE_N1)
     # solve() has required edge_threshold(k, 1) = C(k-1, 2) + 2 edges, which
-    # is Theorem 2's bound at N = k, so that bound needs no check here.
-    try:
-        cyc = ore_build_cycle(g.adj)
-    except KphamError as exc:
-        _log_fallback(g, f"rotation build failed: {exc}")
-        return None
+    # is Theorem 2's bound at N = k: every nonadjacent pair sums to at least
+    # N, so ore_build_cycle's own check of that condition cannot fail.
+    cyc = ore_build_cycle(g.adj)
     trace.append(ORE_ROTATION)
     return cyc
 
 
-def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
+def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     trace.append(BASE_K2)
     n = g.n
     part1 = part_masks(2, n)[1]
     alternating = [v for i in range(n) for v in (i, n + i)]
     cyc = _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating)
     if cyc is None:
-        _log_fallback(g, "bipartite closure did not complete")
-        return None
+        raise ConstructionFailed("bipartite closure did not complete")
     trace.append(LEMMA_CLOSURE)
     return cyc
 
 
-def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
+def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     """k >= 3, n >= 2.
 
     Under the sigma bound the all-pairs closure at bound N completes: for
@@ -547,9 +536,8 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
     if meets_sigma_bound(g.k, g.n, st.sigma):
         cyc = _complete_closure(g)
         if cyc is None:
-            _log_fallback(g, "degree-sum closure did not complete")
-        else:
-            trace.append(LEMMA_CLOSURE)
+            raise ConstructionFailed("degree-sum closure did not complete")
+        trace.append(LEMMA_CLOSURE)
         return cyc
     low, high = st.sigma_pair
     if g.degree(high) < g.degree(low):
@@ -562,20 +550,15 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...] | None:
     # low into the remainder cycle next to two of its neighbors (or reroute
     # when they are apart), then close a Hamilton path through its twin.
     sub, keep = _induced(g, (low & ~1, low | 1), g.k - 1, 2)
-    cyc = _solve_remainder(g, sub, keep, trace)
-    if cyc is None:
-        return None
+    cyc = _solve_remainder(sub, keep, trace)
     full = _attach_pair_and_close(g, cyc, low, low ^ 1)
-    if full is None:
-        _log_fallback(g, "could not reattach the dropped part")
-        return None
     trace.append(LEMMA_CLOSURE)
     return full
 
 
 def _peel(
     g: KPartiteGraph, anchor: int, avoid: int, trace: list[str]
-) -> tuple[int, ...] | None:
+) -> tuple[int, ...]:
     """k >= 3, n >= 3, sigma bound failed at the pair (anchor, avoid).
 
     Case 1, the anchor's neighborhood meets two or more parts: peel one
@@ -583,65 +566,49 @@ def _peel(
     two disjoint transversal paths sharing the anchor and join them into
     one walk. Then solve the (n-1)- or (n-2)-balanced remainder and stitch
     the walk to its cycle along a matching edge.
+
+    No degree floor is checked: with the sigma bound failed, at most n-2
+    missing edges avoid the pair (Case 1) or the anchor (Case 2), so every
+    other vertex keeps (k-2)n, resp. (k-2)n+1, neighbors in the rest.
     """
-    k, n = g.k, g.n
-    if len({w // n for w in bits(g.adj[anchor])}) >= 2:
-        tag, rest, drop = CASE_1, n - 1, (1 << anchor) | (1 << avoid)
-        bound = (k - 2) * n
+    if len({w // g.n for w in bits(g.adj[anchor])}) >= 2:
+        trace.append(CASE_1)
+        walk = build_transversal_path(g, anchor, avoid)
+        rest = g.n - 1
     else:
-        tag, rest, drop = CASE_2, n - 2, 1 << anchor
-        bound = (k - 2) * n + 1
-    trace.append(tag)
-    floor = min(
-        (g.adj[w] & ~drop).bit_count()
-        for w in range(g.num_vertices)
-        if not drop >> w & 1
-    )
-    if floor < bound:
-        _log_fallback(g, f"degree floor {floor} below {bound}")
-        return None
-    try:
-        if tag == CASE_1:
-            walk = build_transversal_path(g, anchor, avoid)
-        else:
-            one, two = build_two_disjoint_transversal_paths(g, anchor, avoid)
-            walk = two[::-1] + one[1:]
-    except KphamError as exc:
-        _log_fallback(g, f"transversal paths failed: {exc}")
-        return None
-    sub, keep = _induced(g, walk, k, rest)
-    cyc = _solve_remainder(g, sub, keep, trace)
-    if cyc is None:
-        return None
-    try:
-        full = stitch_matching(g, walk, cyc, avoid)
-    except StitchFailed as exc:
-        _log_fallback(g, str(exc))
-        return None
+        trace.append(CASE_2)
+        one, two = build_two_disjoint_transversal_paths(g, anchor, avoid)
+        walk = two[::-1] + one[1:]
+        rest = g.n - 2
+    sub, keep = _induced(g, walk, g.k, rest)
+    cyc = _solve_remainder(sub, keep, trace)
+    full = stitch_matching(g, walk, cyc, avoid)
     trace.append(MATCH_STITCH)
     return full
 
 
 def _solve_remainder(
-    g: KPartiteGraph, sub: KPartiteGraph, keep: list[int], trace: list[str]
-) -> list[int] | None:
-    """Solve the remainder sub (keep[i] is g's id of its vertex i), append
-    its trace, and return its cycle in g's ids, or None when it has none."""
+    sub: KPartiteGraph, keep: list[int], trace: list[str]
+) -> list[int]:
+    """Solve the remainder sub (keep[i] is the parent's id of its vertex i),
+    append its trace, and return its cycle in the parent's ids."""
     result = solve(sub)
     trace.extend(result.trace)
     if result.cycle is None:
-        _log_fallback(g, f"remainder solve failed: {result.failure}")
-        return None
+        raise ConstructionFailed(f"remainder solve failed: {result.failure}")
     return [keep[i] for i in result.cycle]
 
 
 def _attach_pair_and_close(
     g: KPartiteGraph, cyc: list[int], low: int, twin: int
-) -> tuple[int, ...] | None:
+) -> tuple[int, ...]:
+    """Extend cyc (every vertex but low and its twin) to a Hamilton cycle.
+    Each path closed here ends at the twin and some w != low, nonadjacent
+    only when w is high, and deg(twin) + deg(high) >= (2k-3) + k >= N."""
     rows = g.adj
     length = len(cyc)
     pos = {v: i for i, v in enumerate(cyc)}
-    nbr_pos = sorted(pos[w] for w in bits(rows[low]) if w in pos)
+    nbr_pos = sorted(pos[w] for w in bits(rows[low]))
     nbr_set = set(nbr_pos)
 
     # Preferred shape: two neighbors consecutive on the cycle. Insert low
@@ -665,26 +632,24 @@ def _attach_pair_and_close(
             ring = cyc[j + 1 :] + cyc[: j + 1]
             cut = (i - j) % length
             pathway = [twin] + ring[:cut] + [low] + ring[cut:][::-1]
-            closed = _close(rows, pathway, g.num_vertices)
+            closed = _close(rows, pathway)
             if closed is not None:
                 return canonical_cycle(closed)
-    return None
+    raise ConstructionFailed("could not reattach the dropped part")
 
 
 def _attach_last_and_close(
     g: KPartiteGraph, cyc: list[int], last: int, avoid_end: int
 ) -> tuple[int, ...] | None:
     """Prepend `last` to a break of the cycle next to one of its neighbors
-    and close the Hamilton path."""
+    and close the Hamilton path. The cycle holds every vertex but `last`."""
     pos = {v: i for i, v in enumerate(cyc)}
     for z in bits(g.adj[last]):
-        if z not in pos:
-            continue
         i = pos[z]
         for other in (cyc[(i + 1) % len(cyc)], cyc[i - 1]):
             if other == avoid_end:
                 continue
-            closed = _close(g.adj, [last] + _open_at(cyc, z, other), g.num_vertices)
+            closed = _close(g.adj, [last] + _open_at(cyc, z, other))
             if closed is not None:
                 return canonical_cycle(closed)
     return None
@@ -696,27 +661,25 @@ def solve(g: KPartiteGraph) -> SolveResult:
     Returns a SolveResult whose cycle is present whenever the edge count
     meets edge_threshold(k, n) and (k, n) != (2, 1); below the threshold
     the result fails with HypothesisNotMet without running any search. The
-    trace lists every branch taken, including SearchFallback when the
-    constructive routes did not finish the instance.
+    trace lists every branch taken, including SearchFallback when a
+    constructive route raised ConstructionFailed; this is the one place
+    that catches it.
     """
     if (g.k, g.n) == (2, 1):
         return SolveResult(None, (), FAIL_TOO_SMALL)
     if g.edge_count < edge_threshold(g.k, g.n):
         return SolveResult(None, (), FAIL_HYPOTHESIS)
     trace: list[str] = []
-    if g.n == 1:
-        cyc = _solve_n1(g, trace)
-    elif g.k == 2:
-        cyc = _solve_k2(g, trace)
-    else:
-        cyc = _solve_multi(g, trace)
-    if cyc is None:
-        trace.append(SEARCH_FALLBACK)
-        found = _search_hamilton(g.adj)
-        if found is None:
-            return SolveResult(None, tuple(trace), FAIL_NOT_HAMILTONIAN)
-        cyc = found
-    return SolveResult(canonical_cycle(cyc), tuple(trace), None)
+    try:
+        if g.n == 1:
+            cyc = _solve_n1(g, trace)
+        elif g.k == 2:
+            cyc = _solve_k2(g, trace)
+        else:
+            cyc = _solve_multi(g, trace)
+    except ConstructionFailed as exc:
+        return _finish_with_search(g, trace, str(exc))
+    return SolveResult(cyc, tuple(trace), None)
 
 
 def solve_theorem11(g: KPartiteGraph) -> SolveResult:
@@ -764,7 +727,7 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
     pathway = _open_at(cyc, *extra)
     if pathway is None:
         return SolveResult(canonical_cycle(cyc), tuple(trace), None)
-    rerouted = _close(g.adj, pathway, 0)
+    rerouted = _close(g.adj, pathway)
     if rerouted is not None:
         trace.append(LEMMA_CLOSURE)
         return SolveResult(canonical_cycle(rerouted), tuple(trace), None)

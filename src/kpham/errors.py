@@ -39,8 +39,10 @@ class ConstructionFailed(KphamError):
     """A constructive routine ran out of admissible moves.
 
     This signals a gap between the guaranteed hypothesis and what the greedy
-    construction could actually realize on the instance; callers treat it as
-    a cue to fall back to exhaustive search.
+    construction could actually realize on the instance. Inside the solver
+    it is the only gap signal: every route raises it with a reason, and
+    solve() catches it in one place, logs the reason and falls back to
+    exhaustive search.
     """
 
 

@@ -108,11 +108,6 @@ def _decide_instance(
             truth = is_hamiltonian(g).hamiltonian
             return alive, fallback, alive != truth
         return alive, fallback, False
-    if g.num_vertices > ORACLE_VERTEX_CAP:
-        raise TooLarge(
-            "below-threshold instances need the oracle, and"
-            f" {g.num_vertices} vertices exceeds its cap of {ORACLE_VERTEX_CAP}"
-        )
     return is_hamiltonian(g).hamiltonian, False, False
 
 
@@ -193,6 +188,13 @@ def fault_tolerance_trial(
         if trials < 1:
             raise ValueError("trials must be at least 1")
         total = trials
+    # Every over-budget instance is below the threshold, so only the oracle
+    # can decide it; refuse a host above its cap before any trial runs.
+    if deletions > budget and k * n > ORACLE_VERTEX_CAP:
+        raise TooLarge(
+            "below-threshold instances need the oracle, and"
+            f" {k * n} vertices exceeds its cap of {ORACLE_VERTEX_CAP}"
+        )
     head = (k, n, deletions, seed, exhaustive, cross_check)
     parts = run_chunks(_fault_chunk, head, total, jobs)
 

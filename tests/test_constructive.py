@@ -499,8 +499,10 @@ class TestSolveTheorem11:
 # touches each pair attaining it, and dropping the part of the pair's
 # lower-degree vertex leaves a (k-1)-part remainder at its threshold. Where
 # the bound holds and k != 4, every nonadjacent pair, twins included, sums
-# to at least N, so the all-pairs closure completes. Everything is computed
-# here from the definitions, not through the solver.
+# to at least N, so the all-pairs closure completes. Where it fails, the
+# twin of the dropped vertex and the other pair vertex sum to at least N, so
+# the reattachment needs no end-degree check. Everything is computed here
+# from the definitions, not through the solver.
 
 
 def _check_n2_facts(k: int, dropped) -> bool:
@@ -532,6 +534,8 @@ def _check_n2_facts(k: int, dropped) -> bool:
         for low, high in ((u, v), (v, u)):
             if deg[low] > deg[high]:
                 continue
+            # the twin and high may end a path closed at the reattachment
+            assert deg[low ^ 1] + deg[high] >= count
             kept = [e for e in missing if low // 2 not in (e[0] // 2, e[1] // 2)]
             assert comb(k - 1, 2) * 4 - len(kept) >= edge_threshold(k - 1, 2)
     return True
@@ -574,6 +578,81 @@ class TestN2DegreeSumFacts:
             for dropped in combinations(host, size)
         )
         assert failures == bound_failures
+
+
+# ---- degree floors of the peel at n >= 3 ----------------------------------
+#
+# The peel checks no degree floor at run time. With at most (k-1)n-2 cross
+# edges missing and the sigma bound failed, sigma <= kn-1, so at least
+# (k-2)n missing edges touch the pair and at most n-2 avoid it: every other
+# vertex keeps (k-2)n neighbours outside the pair (Case 1). An anchor whose
+# neighbours sit in one part has degree <= n, so at most n-2 missing edges
+# avoid it: every other vertex keeps (k-2)n+1 neighbours besides it (Case 2).
+# Computed here from the definitions, for both orders of every pair
+# attaining sigma.
+
+
+def _check_peel_facts(k: int, n: int, dropped) -> bool:
+    """Assert the floors for the (k, n) host minus dropped; return whether
+    the sigma bound failed."""
+    count = k * n
+    missing = {(min(u, v), max(u, v)) for u, v in dropped}
+    assert len(missing) <= (k - 1) * n - 2
+    nbrs = [
+        {v for v in range(count) if u // n != v // n and (min(u, v), max(u, v)) not in missing}
+        for u in range(count)
+    ]
+    sums = {pair: len(nbrs[pair[0]]) + len(nbrs[pair[1]]) for pair in missing}
+    sigma = min(sums.values(), default=None)
+    bound = (k - (Fraction(2, k + 1) if k % 2 else Fraction(4, k + 2))) * n
+    if sigma is None or sigma > bound:
+        return False
+    assert sigma <= k * n - 1
+    for (u, v), total in sums.items():
+        if total != sigma:
+            continue
+        for anchor, avoid in ((u, v), (v, u)):
+            assert len(nbrs[anchor]) >= 2
+            if len({w // n for w in nbrs[anchor]}) >= 2:
+                drop, floor = {anchor, avoid}, (k - 2) * n
+            else:
+                drop, floor = {anchor}, (k - 2) * n + 1
+            for w in set(range(count)) - drop:
+                assert len(nbrs[w] - drop) >= floor
+    return True
+
+
+@st.composite
+def _peel_deletion_sets(draw):
+    """(k, n, deletion set) at n >= 3 within the budget (k-1)n-2. Half the
+    draws spend the whole budget at one or two vertices, often sparing the
+    edges into one part, so that the sigma bound fails in both cases."""
+    k = draw(st.integers(3, 6))
+    n = draw(st.integers(3, 5))
+    budget = (k - 1) * n - 2
+    pool = host_edges(k, n)
+    size = draw(st.integers(0, budget))
+    if draw(st.booleans()):
+        ends = draw(st.sets(st.integers(0, k * n - 1), min_size=1, max_size=2))
+        spared = draw(st.integers(0, k))  # k spares no part
+        pool = [
+            e for e in pool if any(a in ends and b // n != spared for a, b in (e, e[::-1]))
+        ]
+        size = min(budget, len(pool))
+    drop = st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)
+    return k, n, draw(drop)
+
+
+class TestPeelDegreeFloors:
+    @settings(max_examples=300, deadline=None)
+    @given(_peel_deletion_sets())
+    # both floors are attained: at vertex 9 in Case 1, at vertex 6 in Case 2
+    @example((5, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (2, 3), (3, 6),
+                     (3, 7), (9, 12)]))
+    @example((3, 3, [(0, 3), (0, 4), (0, 5), (3, 6)]))
+    @example((3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)]))
+    def test_within_budget(self, case):
+        _check_peel_facts(*case)
 
 
 # ---- golden outputs ------------------------------------------------------

@@ -147,6 +147,16 @@ class TestFaultTrials:
                 5, 4, deletions=15, trials=2, seed=1, allow_over_budget=True
             )
 
+    def test_over_budget_large_host_refused_before_any_pool(
+        self, pool_widths, monkeypatch
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(TooLarge, match="20 vertices exceeds its cap of 16"):
+            fault_tolerance_trial(
+                5, 4, deletions=15, trials=2, seed=1, allow_over_budget=True, jobs=2
+            )
+        assert pool_widths.widths == []
+
     def test_budget_consistency_with_reports(self):
         rep = fault_tolerance_trial(4, 3, deletions=7, trials=30, seed=2)
         assert rep.budget == 7
