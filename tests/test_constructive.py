@@ -740,16 +740,16 @@ GOLDEN_LITERALS = [
         'cycle 0 6 5 1 3 2 7 4 8\ntrace T11AddEdge,Case2,SearchFallback\n',
     ),
     (
+        4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
+        'cycle 0 10 7 9 6 5 2 4 1 3 8 11\ntrace LemmaClosure\n',
+        'cycle 0 9 4 6 2 11 8 5 1 7 3 10\ntrace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch\n',
+    ),
+    (
         # the part-drop cannot insert vertex 8 between two consecutive
         # neighbours, so it reroutes and closes through a crossing pair
         5, 2, [(0, 8), (1, 8), (1, 9), (4, 8), (5, 8), (7, 8)],
         'cycle 0 2 8 3 1 4 9 6 5 7\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
         'cycle 0 2 1 4 7 5 9 3 8 6\ntrace T11AddEdge,SearchFallback\n',
-    ),
-    (
-        4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
-        'cycle 0 10 7 9 6 5 2 4 1 3 8 11\ntrace LemmaClosure\n',
-        'cycle 0 9 4 6 2 11 8 5 1 7 3 10\ntrace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch\n',
     ),
 ]
 
