@@ -291,10 +291,10 @@ class TestStitch:
             stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
 
 
-def _restart_closure_cycle(adj, cand, bound, start):
+def _restart_closure_cycle(adj, cand, bound, start, joins=None):
     """Reference closure: rescan every pair from row 0 after each join,
     then undo the joins in reverse order with index walks and the first
-    crossing pair."""
+    crossing pair. Appends each joined pair to joins when one is given."""
     rows = list(adj)
     count = len(rows)
 
@@ -317,6 +317,8 @@ def _restart_closure_cycle(adj, cand, bound, start):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         added.append(pair)
+    if joins is not None:
+        joins.extend(added)
     if next(open_pairs(), None) is not None:
         return None
     cycle = list(start)
@@ -362,6 +364,32 @@ class TestClosure:
             assert _closure_cycle(g.adj, cand, bound, list(start)) == (
                 _restart_closure_cycle(g.adj, cand, bound, start)
             )
+
+    @pytest.mark.parametrize(
+        ("k", "n", "edges", "want"),
+        [
+            # at threshold
+            (2, 3, [(0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+                    (2, 5)], (0, 3, 1, 5, 2, 4)),
+            # two edges below threshold
+            (3, 2, [(0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4), (3, 4),
+                    (3, 5)], (0, 2, 4, 1, 5, 3)),
+        ],
+    )
+    def test_rewind_literal(self, k, n, edges, want):
+        # A join here makes an earlier row qualify again, so the closure
+        # must go back to that row: the reference's join rows are not in
+        # ascending order. Threshold families never do this.
+        g = from_edge_list(k, n, edges)
+        count = g.num_vertices
+        full = (1 << count) - 1
+        cand = [full ^ ((2 << u) - 1) for u in range(count)]
+        joins = []
+        start = list(range(count))
+        assert _restart_closure_cycle(g.adj, cand, count, start, joins) == want
+        rows = [u for u, _ in joins]
+        assert rows != sorted(rows)
+        assert _closure_cycle(g.adj, cand, count, list(start)) == want
 
 
 class TestSolve:
