@@ -344,6 +344,16 @@ def _restart_closure_cycle(adj, cand, bound, start, joins=None):
     return canonical_cycle(cycle)
 
 
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 class TestClosure:
     @settings(max_examples=200, deadline=None)
     @given(partite_graphs(max_k=4, max_n=3))
@@ -390,6 +400,28 @@ class TestClosure:
         rows = [u for u, _ in joins]
         assert rows != sorted(rows)
         assert _closure_cycle(g.adj, cand, count, list(start)) == want
+
+
+    @pytest.mark.parametrize(("k", "n"), [(4, 16), (3, 21)])
+    @pytest.mark.parametrize("family", ["rand", "hub"])
+    def test_work_bound(self, k, n, family):
+        # Each join reads O(1) candidate rows: the row it joins in, the two
+        # rows it may finish, and the pending rows below it, of which there
+        # are none at the threshold. Rescanning every earlier row after
+        # each join reads ~10x more on these instances.
+        rng = random.Random(4016 if family == "rand" else 321)
+        if family == "rand":
+            g = random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
+        else:
+            g = _hub_instance(k, n, rng)
+        count = g.num_vertices
+        full = (1 << count) - 1
+        cand = _CountingList(full ^ ((2 << u) - 1) for u in range(count))
+        assert _closure_cycle(g.adj, cand, count, list(range(count))) == (
+            _restart_closure_cycle(g.adj, list(cand), count, range(count))
+        )
+        joins = comb(count, 2) - g.edge_count
+        assert cand.reads <= 4 * joins + 3 * count, cand.reads
 
 
 class TestSolve:
