@@ -286,8 +286,8 @@ def _closure_cycle(
         # in the lowest pending row below u that now qualifies at u or v,
         # or else in row u itself. At the threshold every earlier row is
         # finished by the time the closure moves past it (no rewind in
-        # 41 695 joins over the solve-n64 benchmark instances), so back is
-        # almost always empty.
+        # ~38 000 joins over each seed's 168 solve-n64 benchmark
+        # instances), so back is almost always empty.
         back = pending & ((1 << u) - 1)
         if back:
             for a in bits(back):

@@ -389,7 +389,7 @@ class TestClosure:
     def test_rewind_literal(self, k, n, edges, want):
         # A join here makes an earlier row qualify again, so the closure
         # must go back to that row: the reference's join rows are not in
-        # ascending order. Threshold families never do this.
+        # ascending order. The solver's own calls almost never do this.
         g = from_edge_list(k, n, edges)
         count = g.num_vertices
         full = (1 << count) - 1
@@ -401,14 +401,13 @@ class TestClosure:
         assert rows != sorted(rows)
         assert _closure_cycle(g.adj, cand, count, list(start)) == want
 
-
     @pytest.mark.parametrize(("k", "n"), [(4, 16), (3, 21)])
     @pytest.mark.parametrize("family", ["rand", "hub"])
     def test_work_bound(self, k, n, family):
         # Each join reads O(1) candidate rows: the row it joins in, the two
         # rows it may finish, and the pending rows below it, of which there
         # are none at the threshold. Rescanning every earlier row after
-        # each join reads ~10x more on these instances.
+        # each join reads ~9x more on these instances.
         rng = random.Random(4016 if family == "rand" else 321)
         if family == "rand":
             g = random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
