@@ -630,15 +630,20 @@ def _attach_pair_and_close(
     nbr_set = set(nbr_pos)
 
     # Preferred shape: two neighbors consecutive on the cycle. Insert low
-    # between them, then break one cycle edge at a neighbor of the twin and
-    # close the resulting Hamilton path.
+    # between them, then break a cycle edge (z, other) at a neighbor z of
+    # the twin, other != low, and close the Hamilton path from the twin.
     for i in nbr_pos:
         if (i + 1) % length not in nbr_set:
             continue
         bigger = cyc[: i + 1] + [low] + cyc[i + 1 :]
-        closed = _attach_last_and_close(g, bigger, twin, avoid_end=low)
-        if closed is not None:
-            return closed
+        for z in bits(rows[twin]):
+            at = bigger.index(z)
+            for other in (bigger[(at + 1) % len(bigger)], bigger[at - 1]):
+                if other == low:
+                    continue
+                closed = _close(rows, [twin] + _open_at(bigger, z, other))
+                if closed is not None:
+                    return canonical_cycle(closed)
 
     # Otherwise reroute: for neighbors u = cyc[i], v = cyc[j] of low with
     # twin adjacent to v's successor, walk successor..u, insert low, walk
@@ -654,23 +659,6 @@ def _attach_pair_and_close(
             if closed is not None:
                 return canonical_cycle(closed)
     raise ConstructionFailed("could not reattach the dropped part")
-
-
-def _attach_last_and_close(
-    g: KPartiteGraph, cyc: list[int], last: int, avoid_end: int
-) -> tuple[int, ...] | None:
-    """Prepend `last` to a break of the cycle next to one of its neighbors
-    and close the Hamilton path. The cycle holds every vertex but `last`."""
-    pos = {v: i for i, v in enumerate(cyc)}
-    for z in bits(g.adj[last]):
-        i = pos[z]
-        for other in (cyc[(i + 1) % len(cyc)], cyc[i - 1]):
-            if other == avoid_end:
-                continue
-            closed = _close(g.adj, [last] + _open_at(cyc, z, other))
-            if closed is not None:
-                return canonical_cycle(closed)
-    return None
 
 
 def solve(g: KPartiteGraph) -> SolveResult:
