@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import host_edges, partite_graphs, perm_hamiltonian
+from conftest import all_subsets_of_size, host_edges, partite_graphs, perm_hamiltonian
 from kpham import (
     ConstructionFailed,
     HypothesisNotMet,
@@ -31,6 +31,7 @@ from kpham import (
     build_transversal_path,
     build_two_disjoint_transversal_paths,
     canonical_cycle,
+    check_ore,
     close_hamilton_path,
     edge_threshold,
     evaluate,
@@ -444,6 +445,20 @@ class TestSolve:
         assert r.failure is None
         validate_hamilton_cycle(g.adj, r.cycle)
         assert r.cycle == canonical_cycle(r.cycle)
+
+    def test_every_threshold_n1_graph(self):
+        # _solve_n1 relies on the edge threshold implying the degree-sum
+        # condition; check it on all 8187 threshold (k,1) graphs, k = 3..7.
+        count = 0
+        for k in range(3, 8):
+            for size in range(edge_threshold(k, 1), len(host_edges(k, 1)) + 1):
+                for g in all_subsets_of_size(k, 1, size):
+                    assert check_ore(g.adj) == (True, None)
+                    r = solve(g)
+                    assert r.trace == ("BaseN1", "OreRotation")
+                    validate_hamilton_cycle(g.adj, r.cycle)
+                    count += 1
+        assert count == 8187
 
     def test_deterministic(self):
         g, _ = remove_edges(new_complete(4, 3), [(0, 3), (1, 4), (2, 11), (5, 9)])
