@@ -3,7 +3,8 @@
 The entry point is solve(), which takes a graph meeting the edge threshold
 and produces a Hamilton cycle by the route matching the instance shape:
 
-* n == 1          edge bound implies the degree-sum condition; rotation build
+* n == 1          edge bound implies the degree-sum condition; degree-sum
+                  closure over all pairs at bound N
 * k == 2          degree-sum closure over cross pairs at bound n + 1
 * k >= 3, n >= 2  degree-sum closure over all pairs at bound N when the sigma
                   bound holds; otherwise take a minimum-degree-sum pair and
@@ -159,66 +160,6 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
     return canonical_cycle(cyc)
 
 
-def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
-    """Build a Hamilton cycle in a graph satisfying the all-pairs degree-sum
-    condition (every nonadjacent u, v has degree sum >= N).
-
-    Rotation-extension: grow a path greedily from vertex 0, close it into a
-    cycle with a crossing pair once both ends are stuck, then absorb the
-    lowest outside vertex adjacent to the cycle and repeat. Each round
-    enlarges the covered set, so the loop runs at most N times and the
-    whole build stays within O(N^3) adjacency probes.
-    """
-    rows = tuple(adj)
-    n_vertices = len(rows)
-    ok, witness = check_ore(rows)
-    if not ok:
-        raise HypothesisNotMet(f"degree-sum condition fails at pair {witness}")
-    path = [0]
-    mask = 1
-    for _ in range(n_vertices + 1):
-        mask = _extend_maximal(rows, path, mask)
-        cyc = _close(rows, path)
-        if cyc is None:
-            raise ConstructionFailed("stuck path has no crossing pair")
-        if len(cyc) == n_vertices:
-            return canonical_cycle(cyc)
-        cmask = 0
-        for v in cyc:
-            cmask |= 1 << v
-        absorbed = None
-        for w in bits(~cmask & ((1 << n_vertices) - 1)):
-            hit = rows[w] & cmask
-            if hit:
-                absorbed = (w, (hit & -hit).bit_length() - 1)
-                break
-        if absorbed is None:
-            raise ConstructionFailed("cycle has no edge to the remaining vertices")
-        w, c = absorbed
-        i = cyc.index(c)
-        path = cyc[i + 1 :] + cyc[: i + 1] + [w]
-        mask = cmask | (1 << w)
-    raise ConstructionFailed("extension failed to converge")
-
-
-def _extend_maximal(adj: tuple[int, ...], path: list[int], mask: int) -> int:
-    """Extend both path ends with lowest-id unvisited neighbors until stuck."""
-    while True:
-        grew = False
-        for _ in range(2):
-            while True:
-                cand = adj[path[-1]] & ~mask
-                if not cand:
-                    break
-                v = (cand & -cand).bit_length() - 1
-                path.append(v)
-                mask |= 1 << v
-                grew = True
-            path.reverse()
-        if not grew:
-            return mask
-
-
 # =====================================================================
 # degree-sum closure (add virtual edges, build, unwind)
 # =====================================================================
@@ -232,13 +173,16 @@ def _extend_maximal(adj: tuple[int, ...], path: list[int], mask: int) -> int:
 # obvious cycle; unwinding the additions in reverse order then yields a
 # cycle of the original graph.
 #
-# One routine serves both closure routes. The n == 2 and general routes
-# may join any pair at bound N and end at the complete graph, whose cycle
-# is 0, 1, ..., N-1. The k == 2 route joins only cross pairs at bound n + 1
-# and ends at the complete bipartite graph with its alternating cycle: on a
-# balanced bipartite graph a Hamilton path left by deleting a cross edge
-# from a Hamilton cycle alternates parts, and ends with degree sum >= n + 1
-# always admit a crossing pair, so the unwind is safe at that lower bound.
+# One routine serves all three closure routes. The n == 1 route and the
+# multipartite route (n == 2 and general) may join any pair at bound N and
+# end at the complete graph, whose cycle is 0, 1, ..., N-1; at n == 1 the
+# degree-sum condition lets every nonadjacent pair join from the first
+# step, so the closure always completes there. The k == 2 route joins only cross pairs at bound
+# n + 1 and ends at the complete bipartite graph with its alternating
+# cycle: on a balanced bipartite graph a Hamilton path left by deleting a
+# cross edge from a Hamilton cycle alternates parts, and ends with degree
+# sum >= n + 1 always admit a crossing pair, so the unwind is safe at that
+# lower bound.
 
 
 def _closure_cycle(
@@ -311,12 +255,31 @@ def _closure_cycle(
     return canonical_cycle(cycle)
 
 
-def _complete_closure(g: KPartiteGraph) -> tuple[int, ...] | None:
-    """All-pairs closure at bound N, started from the cycle 0, 1, ..., N-1."""
-    count = g.num_vertices
+def _complete_closure(adj: Sequence[int]) -> tuple[int, ...]:
+    """All-pairs closure at bound N, started from the cycle 0, 1, ..., N-1.
+    Raises ConstructionFailed when the closure stops short."""
+    count = len(adj)
     full = (1 << count) - 1
     above = [full ^ ((2 << u) - 1) for u in range(count)]
-    return _closure_cycle(g.adj, above, count, list(range(count)))
+    cyc = _closure_cycle(adj, above, count, list(range(count)))
+    if cyc is None:
+        raise ConstructionFailed("degree-sum closure did not complete")
+    return cyc
+
+
+def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
+    """Build a Hamilton cycle in a graph satisfying the all-pairs degree-sum
+    condition (every nonadjacent u, v has degree sum >= N).
+
+    Under that condition every nonadjacent pair qualifies for the all-pairs
+    closure at bound N from the first step, so the closure reaches the
+    complete graph and its unwind carries 0, 1, ..., N-1 back onto adj.
+    """
+    rows = tuple(adj)
+    ok, witness = check_ore(rows)
+    if not ok:
+        raise HypothesisNotMet(f"degree-sum condition fails at pair {witness}")
+    return _complete_closure(rows)
 
 
 # =====================================================================
@@ -552,9 +515,7 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
         trace.append(BASE_N2)
     st = stats(g)
     if meets_sigma_bound(g.k, g.n, st.sigma):
-        cyc = _complete_closure(g)
-        if cyc is None:
-            raise ConstructionFailed("degree-sum closure did not complete")
+        cyc = _complete_closure(g.adj)
         trace.append(LEMMA_CLOSURE)
         return cyc
     low, high = st.sigma_pair

@@ -290,7 +290,7 @@ def test_criterion_08_ore_suite():
     _report(
         8,
         ok,
-        f"degree-sum rotation: {built}/500 graphs (N <= 14) yielded"
+        f"degree-sum closure: {built}/500 graphs (N <= 14) yielded"
         f" validating cycles [{elapsed:.2f}s < 10s]",
     )
     assert ok

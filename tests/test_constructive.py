@@ -144,6 +144,9 @@ class TestOreRotation:
                 continue
             cyc = ore_build_cycle(rows)
             validate_hamilton_cycle(rows, cyc)
+            full = (1 << nv) - 1
+            above = [full ^ ((2 << u) - 1) for u in range(nv)]
+            assert cyc == _restart_closure_cycle(rows, above, nv, range(nv))
             built += 1
 
 
@@ -827,7 +830,7 @@ GOLDEN_LITERALS = [
     ),
 ]
 
-GOLDEN_BATCH_SHA256 = "8d4a5a2d65a14a96c65516f867e25f35562bd7a8dc99cd7c458f405e1d1cf822"
+GOLDEN_BATCH_SHA256 = "b1c07114f5be28d19d19f1f3d0ff8029e12b213dc2cd0845195ece3054a215d0"
 
 
 class TestGolden:
