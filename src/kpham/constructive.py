@@ -177,12 +177,12 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 # multipartite route (n == 2 and general) may join any pair at bound N and
 # end at the complete graph, whose cycle is 0, 1, ..., N-1; at n == 1 the
 # degree-sum condition lets every nonadjacent pair join from the first
-# step, so the closure always completes there. The k == 2 route joins only cross pairs at bound
-# n + 1 and ends at the complete bipartite graph with its alternating
-# cycle: on a balanced bipartite graph a Hamilton path left by deleting a
-# cross edge from a Hamilton cycle alternates parts, and ends with degree
-# sum >= n + 1 always admit a crossing pair, so the unwind is safe at that
-# lower bound.
+# step, so the closure always completes there. The k == 2 route joins only
+# cross pairs at bound n + 1 and ends at the complete bipartite graph with
+# its alternating cycle: on a balanced bipartite graph a Hamilton path left
+# by deleting a cross edge from a Hamilton cycle alternates parts, and ends
+# with degree sum >= n + 1 always admit a crossing pair, so the unwind is
+# safe at that lower bound.
 
 
 def _closure_cycle(
@@ -275,11 +275,10 @@ def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
     closure at bound N from the first step, so the closure reaches the
     complete graph and its unwind carries 0, 1, ..., N-1 back onto adj.
     """
-    rows = tuple(adj)
-    ok, witness = check_ore(rows)
+    ok, witness = check_ore(adj)
     if not ok:
         raise HypothesisNotMet(f"degree-sum condition fails at pair {witness}")
-    return _complete_closure(rows)
+    return _complete_closure(adj)
 
 
 # =====================================================================
