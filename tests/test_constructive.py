@@ -463,6 +463,28 @@ class TestSolve:
                     count += 1
         assert count == 8187
 
+    def test_n2_part_drop_family(self):
+        # At n = 2 each instance drops the edge of a cross pair (low, high)
+        # and 2k-5 more edges at that pair: the whole budget 2k-4. Most fail
+        # the sigma bound, so the solver drops a part, solves the remainder
+        # and reattaches the two vertices; none may fall back to search.
+        rng = random.Random(2024)
+        part_drops = 0
+        for k in range(3, 13):
+            host = new_complete(k, 2)
+            for _ in range(40):
+                low = rng.randrange(2 * k)
+                high = rng.choice([w for w in range(2 * k) if w // 2 != low // 2])
+                pair = (min(low, high), max(low, high))
+                at_pair = [e for e in host.edges() if e != pair and set(e) & {low, high}]
+                g, _ = remove_edges(host, [pair] + rng.sample(at_pair, 2 * k - 5))
+                r = solve(g)
+                validate_hamilton_cycle(g.adj, r.cycle)
+                assert "SearchFallback" not in r.trace
+                assert r.trace[0] == "BaseN2"
+                part_drops += r.trace != ("BaseN2", "LemmaClosure")
+        assert part_drops == 360
+
     def test_deterministic(self):
         g, _ = remove_edges(new_complete(4, 3), [(0, 3), (1, 4), (2, 11), (5, 9)])
         first = solve(g)
@@ -543,6 +565,23 @@ class TestSolveTheorem11:
 
     def test_too_small(self):
         assert solve_theorem11(new_complete(2, 1)).failure == "TooSmall"
+
+    def test_reroute_failure_falls_back(self, caplog):
+        # The sigma pair is (0, 6), so the route adds (1, 8). The augmented
+        # cycle uses it, and the path left by dropping it has no crossing
+        # pair in the original graph.
+        caplog.set_level(logging.INFO, logger="kpham.constructive")
+        g, _ = remove_edges(
+            new_complete(3, 3), [(0, 6), (0, 8), (1, 6), (1, 8), (2, 4)]
+        )
+        assert solve_theorem11(g).serialize() == (
+            "cycle 0 4 1 3 6 2 8 5 7\ntrace T11AddEdge,LemmaClosure,SearchFallback\n"
+        )
+        records = [r for r in caplog.records if r.name == "kpham.constructive"]
+        assert [r.levelno for r in records] == [logging.INFO]
+        assert records[0].getMessage().startswith(
+            "constructive gap: virtual-edge reroute found no crossing [k=3 n=3 m=22"
+        )
 
     def test_all_one_short_min_degree_two_agree_with_oracle(self):
         # every 9-edge (3, 2) instance with min degree 2: the solver's

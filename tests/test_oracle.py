@@ -31,6 +31,12 @@ PETERSEN = adjacency_from_edges(
     ],
 )
 
+# two K4s sharing vertex 3: connected, minimum degree 3, but a cut vertex
+TWO_K4 = adjacency_from_edges(
+    7,
+    [e for block in ((0, 1, 2, 3), (3, 4, 5, 6)) for e in combinations(block, 2)],
+)
+
 
 class TestDecision:
     def test_c6_and_broken_c6(self):
@@ -93,6 +99,25 @@ class TestDecision:
         runs = {is_hamiltonian(g).nodes_expanded for _ in range(4)}
         assert len(runs) == 1
         assert runs.pop() > 0
+
+    @pytest.mark.parametrize(
+        ("rows", "want"),
+        [
+            (PETERSEN, (142, 142, 238)),
+            (TWO_K4, (41, 41, 61)),
+            (remove_edges(new_complete(3, 3), [(0, 3), (0, 4), (1, 6)])[0].adj,
+             (29, 29, 736)),
+        ],
+        ids=["petersen", "two-k4", "k3x3-minus-3"],
+    )
+    def test_nodes_expanded_pinned(self, rows, want):
+        # The walk's pruning decides these counts, so a change to the
+        # reachability test or the degree test shows up here.
+        got = tuple(
+            is_hamiltonian(rows, method=m).nodes_expanded
+            for m in ("auto", "backtracking", "dp")
+        )
+        assert got == want
 
     @settings(max_examples=120, deadline=None)
     @given(partite_graphs(max_k=3, max_n=3))
