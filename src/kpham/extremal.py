@@ -196,15 +196,9 @@ def fault_tolerance_trial(
             f" {k * n} vertices exceeds its cap of {ORACLE_VERTEX_CAP}"
         )
     head = (k, n, deletions, seed, exhaustive, cross_check)
-    parts = run_chunks(_fault_chunk, head, total, jobs)
-
-    survived = fallbacks = disagreements = 0
-    failures: list[tuple[tuple[int, int], ...]] = []
-    for c_surv, c_fall, c_dis, c_failures in parts:
-        survived += c_surv
-        fallbacks += c_fall
-        disagreements += c_dis
-        failures.extend(c_failures)
+    survived, fallbacks, disagreements, failures = run_chunks(
+        _fault_chunk, head, total, jobs
+    )
     return FaultReport(
         k=k,
         n=n,

@@ -20,7 +20,7 @@ enumerate_threshold_sweep() runs the oracle (and, at or above the edge
 threshold, the solver) over every host-edge subset of a given size range:
 sizes ascend, and within a size subsets come in itertools.combinations
 order. run_chunks() cuts that sequence into index ranges, one per worker
-process, and merges the results in index order, so the summary is
+process, and sums the per-range tallies in index order, so the summary is
 byte-identical for any worker count.
 """
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from collections import Counter
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Sequence
@@ -79,7 +80,8 @@ def is_hamiltonian(
 
     if n_vertices < 3 or min(row.bit_count() for row in rows) < 2:
         return OracleAnswer(False, None, decided_by, 0)
-    if not _connected(rows):
+    full = (1 << n_vertices) - 1
+    if _reach(rows, 0, full) != full:
         return OracleAnswer(False, None, decided_by, 0)
     if method == "dp":
         cycle, nodes = _held_karp(rows)
@@ -96,17 +98,16 @@ def is_hamiltonian(
     return OracleAnswer(True, canonical_cycle(cycle), decided_by, nodes)
 
 
-def _connected(rows: tuple[int, ...]) -> bool:
-    full = (1 << len(rows)) - 1
-    seen = 1
-    frontier = 1
+def _reach(rows: tuple[int, ...], start: int, allowed: int) -> int:
+    """Mask of the vertices reachable from start through allowed ones."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
         for v in bits(frontier):
             nxt |= rows[v]
-        frontier = nxt & ~seen
+        frontier = nxt & allowed & ~seen
         seen |= frontier
-    return seen == full
+    return seen
 
 
 class _BudgetExhausted(Exception):
@@ -123,18 +124,6 @@ def _backtrack(
     path = [0]
     nodes = 0
 
-    def reachable_all(cur: int, remaining: int) -> bool:
-        allowed = remaining | (1 << cur)
-        seen = 1 << cur
-        frontier = seen
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & allowed & ~seen
-            seen |= frontier
-        return not remaining & ~seen
-
     def dive(visited: int) -> bool:
         nonlocal nodes
         if nodes == budget:
@@ -148,7 +137,7 @@ def _backtrack(
         for w in bits(remaining):
             if (rows[w] & avail).bit_count() < 2:
                 return False
-        if not reachable_all(cur, remaining):
+        if remaining & ~_reach(rows, cur, remaining | (1 << cur)):
             return False
         for w in bits(rows[cur] & remaining):
             path.append(w)
@@ -228,7 +217,7 @@ class EnumerationSummary:
 
 def _sweep_chunk(
     args: tuple[int, int, int, int, int],
-) -> tuple[int, int, int, int, list[Counterexample], dict[str, int]]:
+) -> tuple[int, int, int, int, list[Counterexample], Counter[str]]:
     """Process flattened sweep indices [lo, hi). Sizes ascend from
     min_edges; within a size, subsets come in itertools.combinations
     order."""
@@ -241,7 +230,7 @@ def _sweep_chunk(
 
     ham = non_ham = agreements = fallbacks = 0
     records: list[Counterexample] = []
-    tags: dict[str, int] = {}
+    tags: Counter[str] = Counter()
     for edges in islice(subsets, lo, hi):
         g = from_edge_list(k, n, edges)
         answer = is_hamiltonian(g)
@@ -251,8 +240,7 @@ def _sweep_chunk(
             non_ham += 1
         if g.edge_count >= threshold:
             result = solve(g)
-            for tag in sorted(set(result.trace)):
-                tags[tag] = tags.get(tag, 0) + 1
+            tags.update(set(result.trace))
             if SEARCH_FALLBACK in result.trace:
                 fallbacks += 1
             valid = result.cycle is not None and is_hamilton_cycle(
@@ -268,10 +256,12 @@ def _sweep_chunk(
     return ham, non_ham, agreements, fallbacks, records, tags
 
 
-def run_chunks(fn: Callable, head: tuple, total: int, jobs: int) -> list:
+def run_chunks(fn: Callable, head: tuple, total: int, jobs: int) -> tuple:
     """Cut the index range [0, total) into max(1, min(jobs, total, CPU
-    count)) near-equal ranges and return fn((*head, lo, hi)) for each, in
-    range order; shared with extremal.
+    count)) near-equal ranges, call fn((*head, lo, hi)) on each, and return
+    the element-wise sum of the tuples it returns, taken in range order:
+    integers add, lists concatenate and Counters merge. Shared with
+    extremal.
 
     Raises ValueError when jobs < 1. One range runs in this process; two or
     more go to a process pool with one worker per range, so a large jobs
@@ -285,13 +275,14 @@ def run_chunks(fn: Callable, head: tuple, total: int, jobs: int) -> list:
         (*head, total * i // parts, total * (i + 1) // parts) for i in range(parts)
     ]
     if parts == 1:
-        return [fn(chunks[0])]
+        return fn(chunks[0])
     # Imported here because the pool machinery adds ~2 MB to every process
     # that loads it, and only runs with more than one range use it.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=parts) as pool:
-        return list(pool.map(fn, chunks))
+        tallies = list(pool.map(fn, chunks))
+    return tuple(sum(column[1:], column[0]) for column in zip(*tallies))
 
 
 def enumerate_threshold_sweep(
@@ -322,19 +313,9 @@ def enumerate_threshold_sweep(
         min_edges = edge_threshold(k, n)
     min_edges = max(0, min_edges)
     total = sum(comb(host_count, m) for m in range(min_edges, host_count + 1))
-    parts = run_chunks(_sweep_chunk, (k, n, min_edges), total, jobs)
-
-    ham = non_ham = agreements = fallbacks = 0
-    records: list[Counterexample] = []
-    tags: dict[str, int] = {}
-    for c_ham, c_non, c_agree, c_fall, c_records, c_tags in parts:
-        ham += c_ham
-        non_ham += c_non
-        agreements += c_agree
-        fallbacks += c_fall
-        records.extend(c_records)
-        for tag, count in c_tags.items():
-            tags[tag] = tags.get(tag, 0) + count
+    ham, non_ham, agreements, fallbacks, records, tags = run_chunks(
+        _sweep_chunk, (k, n, min_edges), total, jobs
+    )
     return EnumerationSummary(
         k=k,
         n=n,
