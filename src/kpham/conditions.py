@@ -166,10 +166,11 @@ def evaluate(g: KPartiteGraph) -> ConditionReport:
         ore_ok = False
         t2_ok = False
 
+    # the first vertex of minimum degree witnesses both degree conditions
+    low = next(v for v, row in enumerate(g.adj) if row.bit_count() == st.min_degree)
     t4_ok = check_theorem4_min_degree(g)
     if not t4_ok:
-        degs = [row.bit_count() for row in g.adj]
-        violations["theorem4_min_degree"] = (degs.index(min(degs)),)
+        violations["theorem4_min_degree"] = (low,)
 
     t5_ok = meets_sigma_bound(g.k, g.n, st.sigma)
     if not t5_ok:
@@ -177,8 +178,7 @@ def evaluate(g: KPartiteGraph) -> ConditionReport:
 
     t11_ok = st.edge_count >= threshold - 1 and st.min_degree >= 2
     if not t11_ok and st.min_degree < 2:
-        degs = [row.bit_count() for row in g.adj]
-        violations["theorem11"] = (degs.index(min(degs)),)
+        violations["theorem11"] = (low,)
 
     return ConditionReport(
         k=g.k,
