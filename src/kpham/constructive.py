@@ -94,31 +94,18 @@ class SolveResult:
         return f"{first}\n{second}\n"
 
 
-def _log_fallback(g: KPartiteGraph, reason: str) -> None:
-    if not logger.isEnabledFor(logging.INFO):
-        return
-    edge_text = ";".join(f"{u}-{v}" for u, v in g.edges())
-    logger.info(
-        "constructive gap: %s [k=%d n=%d m=%d edges=%s]",
-        reason,
-        g.k,
-        g.n,
-        g.edge_count,
-        edge_text,
-    )
-
-
 # =====================================================================
 # path closure primitives
 # =====================================================================
 
 
-def _close(rows: Sequence[int], path: list[int]) -> list[int] | None:
+def _close(rows: Sequence[int], path: list[int]) -> list[int]:
     """Close a path into a cycle on the same vertex set.
 
     If the ends are adjacent the path closes directly. Otherwise reroute
     through the first index i with path[0] ~ path[i] and path[-1] ~
-    path[i-1]; returns None when no index qualifies.
+    path[i-1]; raises ConstructionFailed when no index qualifies, which the
+    end-degree bound of a closure unwind or close_hamilton_path rules out.
     """
     first, last = path[0], path[-1]
     if rows[first] >> last & 1:
@@ -126,7 +113,7 @@ def _close(rows: Sequence[int], path: list[int]) -> list[int] | None:
     for i in range(2, len(path) - 1):
         if rows[first] >> path[i] & 1 and rows[last] >> path[i - 1] & 1:
             return path[:i] + path[i:][::-1]
-    return None
+    raise ConstructionFailed("no crossing pair despite the degree bound")
 
 
 def _open_at(cycle: list[int], u: int, v: int) -> list[int] | None:
@@ -154,10 +141,7 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
     end_sum = rows[path[0]].bit_count() + rows[path[-1]].bit_count()
     if end_sum < len(rows):
         raise HypothesisNotMet(f"end degree sum {end_sum} is below {len(rows)}")
-    cyc = _close(rows, list(path))
-    if cyc is None:
-        raise ConstructionFailed("no crossing pair despite the degree bound")
-    return canonical_cycle(cyc)
+    return canonical_cycle(_close(rows, list(path)))
 
 
 # =====================================================================
@@ -195,7 +179,8 @@ def _closure_cycle(
     reaches bound. Once no open candidate pair is left, start (a Hamilton
     cycle of the closed graph) is carried back by removing the added edges
     in reverse order and rerouting around each one it uses. Returns None
-    when the closure stops short or a reroute finds no crossing pair.
+    when the closure stops short; a reroute that finds no crossing pair
+    raises ConstructionFailed (see _close).
 
     The bit mask pending holds exactly the rows w that still have an open
     candidate pair (cand[w] & ~rows[w] nonzero). Rows only gain edges while
@@ -250,8 +235,6 @@ def _closure_cycle(
         path = _open_at(cycle, u, v)
         if path is not None:
             cycle = _close(rows, path)
-            if cycle is None:
-                return None
     return canonical_cycle(cycle)
 
 
@@ -443,38 +426,6 @@ def stitch_matching(
 
 
 # =====================================================================
-# relabeling helpers
-# =====================================================================
-
-
-def _induced(
-    g: KPartiteGraph, drop: Iterable[int], k: int, n: int
-) -> tuple[KPartiteGraph, list[int]]:
-    """Subgraph induced on the vertices outside drop, relabelled in
-    ascending order as an n-balanced k-partite graph.
-
-    Every part must keep n vertices or none, so the relabelled parts line up
-    with the original ones. Returns the subgraph and the kept original ids
-    in new-id order.
-    """
-    mask = 0
-    for v in drop:
-        mask |= 1 << v
-    if any((block & ~mask).bit_count() not in (0, n) for block in part_masks(g.k, g.n)):
-        raise ConstructionFailed("vertex removal would unbalance the parts")
-    keep = [v for v in range(g.num_vertices) if not mask >> v & 1]
-    gaps = sorted(bits(mask), reverse=True)
-    rows = []
-    for v in keep:
-        row = g.adj[v]
-        for d in gaps:
-            below = (1 << d) - 1
-            row = row & below | row >> 1 & ~below
-        rows.append(row)
-    return KPartiteGraph(k, n, tuple(rows)), keep
-
-
-# =====================================================================
 # solve dispatch
 # =====================================================================
 
@@ -483,8 +434,8 @@ def _solve_n1(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     trace.append(BASE_N1)
     # solve() has required edge_threshold(k, 1) = C(k-1, 2) + 2 edges, which
     # is Theorem 2's bound at N = k: every nonadjacent pair sums to at least
-    # N, so ore_build_cycle's own check of that condition cannot fail.
-    cyc = ore_build_cycle(g.adj)
+    # N, so the closure completes without ore_build_cycle's check.
+    cyc = _complete_closure(g.adj)
     trace.append(ORE_ROTATION)
     return cyc
 
@@ -527,8 +478,7 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     # low's part leaves a (k-1)-part remainder at its own threshold. Insert
     # low into the remainder cycle next to two of its neighbors (or reroute
     # when they are apart), then close a Hamilton path through its twin.
-    sub, keep = _induced(g, (low & ~1, low | 1), g.k - 1, 2)
-    cyc = _solve_remainder(sub, keep, trace)
+    cyc = _solve_remainder(g, (low & ~1, low | 1), g.k - 1, 2, trace)
     full = _attach_pair_and_close(g, cyc, low, low ^ 1)
     trace.append(LEMMA_CLOSURE)
     return full
@@ -558,19 +508,37 @@ def _peel(
         one, two = build_two_disjoint_transversal_paths(g, anchor, avoid)
         walk = two[::-1] + one[1:]
         rest = g.n - 2
-    sub, keep = _induced(g, walk, g.k, rest)
-    cyc = _solve_remainder(sub, keep, trace)
+    cyc = _solve_remainder(g, walk, g.k, rest, trace)
     full = stitch_matching(g, walk, cyc, avoid)
     trace.append(MATCH_STITCH)
     return full
 
 
 def _solve_remainder(
-    sub: KPartiteGraph, keep: list[int], trace: list[str]
+    g: KPartiteGraph, drop: Iterable[int], k: int, n: int, trace: list[str]
 ) -> list[int]:
-    """Solve the remainder sub (keep[i] is the parent's id of its vertex i),
-    append its trace, and return its cycle in the parent's ids."""
-    result = solve(sub)
+    """Solve the subgraph induced on the vertices outside drop, relabelled
+    in ascending order as an n-balanced k-partite graph; append its trace
+    and return its cycle in g's ids.
+
+    Every part must keep n vertices or none, so the relabelled parts line up
+    with the original ones.
+    """
+    mask = 0
+    for v in drop:
+        mask |= 1 << v
+    if any((block & ~mask).bit_count() not in (0, n) for block in part_masks(g.k, g.n)):
+        raise ConstructionFailed("vertex removal would unbalance the parts")
+    keep = [v for v in range(g.num_vertices) if not mask >> v & 1]
+    gaps = sorted(bits(mask), reverse=True)
+    rows = []
+    for v in keep:
+        row = g.adj[v]
+        for d in gaps:
+            below = (1 << d) - 1
+            row = row & below | row >> 1 & ~below
+        rows.append(row)
+    result = solve(KPartiteGraph(k, n, tuple(rows)))
     trace.extend(result.trace)
     if result.cycle is None:
         raise ConstructionFailed(f"remainder solve failed: {result.failure}")
@@ -582,42 +550,36 @@ def _attach_pair_and_close(
 ) -> tuple[int, ...]:
     """Extend cyc (every vertex but low and its twin) to a Hamilton cycle.
     Each path closed here ends at the twin and some w != low, nonadjacent
-    only when w is high, and deg(twin) + deg(high) >= (2k-3) + k >= N."""
+    only when w is high, and deg(twin) + deg(high) >= (2k-3) + k >= N, so
+    the first path of either shape closes."""
     rows = g.adj
     length = len(cyc)
     pos = {v: i for i, v in enumerate(cyc)}
     nbr_pos = sorted(pos[w] for w in bits(rows[low]))
-    nbr_set = set(nbr_pos)
 
     # Preferred shape: two neighbors consecutive on the cycle. Insert low
-    # between them, then break a cycle edge (z, other) at a neighbor z of
-    # the twin, other != low, and close the Hamilton path from the twin.
+    # between them, then break the cycle edge (z, other) at the twin's
+    # lowest neighbor z, other != low, and close the path from the twin.
     for i in nbr_pos:
-        if (i + 1) % length not in nbr_set:
-            continue
-        bigger = cyc[: i + 1] + [low] + cyc[i + 1 :]
-        for z in bits(rows[twin]):
+        if rows[low] >> cyc[(i + 1) % length] & 1:
+            bigger = cyc[: i + 1] + [low] + cyc[i + 1 :]
+            z = (rows[twin] & -rows[twin]).bit_length() - 1
             at = bigger.index(z)
-            for other in (bigger[(at + 1) % len(bigger)], bigger[at - 1]):
-                if other == low:
-                    continue
-                closed = _close(rows, [twin] + _open_at(bigger, z, other))
-                if closed is not None:
-                    return canonical_cycle(closed)
+            other = bigger[(at + 1) % len(bigger)]
+            if other == low:
+                other = bigger[at - 1]
+            return canonical_cycle(_close(rows, [twin] + _open_at(bigger, z, other)))
 
-    # Otherwise reroute: for neighbors u = cyc[i], v = cyc[j] of low with
-    # twin adjacent to v's successor, walk successor..u, insert low, walk
-    # v back down to u's successor, and close the path.
+    # Otherwise reroute: for the first neighbors u = cyc[i], v = cyc[j] of
+    # low with twin adjacent to v's successor, walk successor..u, insert
+    # low, walk v back down to u's successor, and close the path.
     for i in nbr_pos:
         for j in nbr_pos:
-            if i == j or not rows[twin] >> cyc[(j + 1) % length] & 1:
-                continue
-            ring = cyc[j + 1 :] + cyc[: j + 1]
-            cut = (i - j) % length
-            pathway = [twin] + ring[:cut] + [low] + ring[cut:][::-1]
-            closed = _close(rows, pathway)
-            if closed is not None:
-                return canonical_cycle(closed)
+            if i != j and rows[twin] >> cyc[(j + 1) % length] & 1:
+                ring = cyc[j + 1 :] + cyc[: j + 1]
+                cut = (i - j) % length
+                pathway = [twin] + ring[:cut] + [low] + ring[cut:][::-1]
+                return canonical_cycle(_close(rows, pathway))
     raise ConstructionFailed("could not reattach the dropped part")
 
 
@@ -693,18 +655,27 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
     pathway = _open_at(cyc, *extra)
     if pathway is None:
         return SolveResult(canonical_cycle(cyc), tuple(trace), None)
-    rerouted = _close(g.adj, pathway)
-    if rerouted is not None:
-        trace.append(LEMMA_CLOSURE)
-        return SolveResult(canonical_cycle(rerouted), tuple(trace), None)
-    return _finish_with_search(g, trace, "virtual-edge reroute found no crossing")
+    try:
+        rerouted = _close(g.adj, pathway)
+    except ConstructionFailed:
+        return _finish_with_search(g, trace, "virtual-edge reroute found no crossing")
+    trace.append(LEMMA_CLOSURE)
+    return SolveResult(canonical_cycle(rerouted), tuple(trace), None)
 
 
 def _finish_with_search(
     g: KPartiteGraph, trace: list[str], reason: str
 ) -> SolveResult:
     trace.append(SEARCH_FALLBACK)
-    _log_fallback(g, reason)
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "constructive gap: %s [k=%d n=%d m=%d edges=%s]",
+            reason,
+            g.k,
+            g.n,
+            g.edge_count,
+            ";".join(f"{u}-{v}" for u, v in g.edges()),
+        )
     found = _search_hamilton(g.adj)
     if found is None:
         return SolveResult(None, tuple(trace), FAIL_NOT_HAMILTONIAN)
