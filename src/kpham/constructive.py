@@ -282,6 +282,7 @@ def build_transversal_path(
     visited in ascending index order, always taking the lowest-id admissible
     neighbor, and a dead end raises ConstructionFailed.
     """
+    _check_ids(g, anchor, forbidden)
     k, n = g.k, g.n
     p_anchor = anchor // n
     p_forb = forbidden // n
@@ -326,6 +327,7 @@ def build_two_disjoint_transversal_paths(
     that end position. Raises HypothesisNotMet when the anchor sees two or
     more parts and ConstructionFailed on a greedy dead end.
     """
+    _check_ids(g, anchor, forbidden)
     k, n = g.k, g.n
     nbr = g.adj[anchor]
     if not nbr:
@@ -352,6 +354,13 @@ def build_two_disjoint_transversal_paths(
     # The second path hops back to the anchor's part to pick up its twin end.
     _walk(g, second, order + [p_anchor], used)
     return tuple(first), tuple(second)
+
+
+def _check_ids(g: KPartiteGraph, *ids: int | None) -> None:
+    """Raise HypothesisNotMet naming the first id (not None) outside g."""
+    for v in ids:
+        if v is not None and not 0 <= v < g.num_vertices:
+            raise HypothesisNotMet(f"vertex {v} is not in 0..{g.num_vertices - 1}")
 
 
 def _walk(g: KPartiteGraph, path: list[int], parts: Iterable[int], used: int) -> int:

@@ -265,6 +265,26 @@ class TestTwoPaths:
             build_two_disjoint_transversal_paths(g, anchor=0)
 
 
+@pytest.mark.parametrize(
+    "builder", [build_transversal_path, build_two_disjoint_transversal_paths]
+)
+@pytest.mark.parametrize(
+    ("drop", "anchor", "forbidden", "bad"),
+    [
+        ([], -1, 3, -1),
+        ([], 6, 3, 6),
+        ([], 0, -1, -1),
+        ([], 0, 6, 6),
+        # g.adj[-5] is vertex 1's row: reject the id before reading any row
+        ([(0, 4), (0, 5)], -5, 2, -5),
+    ],
+)
+def test_transversal_builders_reject_unknown_ids(builder, drop, anchor, forbidden, bad):
+    g, _ = remove_edges(new_complete(3, 2), drop)
+    with pytest.raises(HypothesisNotMet, match=rf"^vertex {bad} is not in 0\.\.5$"):
+        builder(g, anchor, forbidden)
+
+
 class TestStitch:
     def test_basic_join(self):
         g = new_complete(3, 2)
