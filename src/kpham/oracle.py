@@ -27,8 +27,8 @@ byte-identical for any worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from collections import Counter
+from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Sequence
