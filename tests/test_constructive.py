@@ -425,6 +425,23 @@ class TestClosure:
         assert rows != sorted(rows)
         assert _closure_cycle(g.adj, cand, count, list(start)) == want
 
+    def test_stall_all_pairs(self):
+        # Vertex 0 of the tight instance keeps one neighbour, so no pair at
+        # it reaches the all-pairs bound N and the closure stops short.
+        g = tight_non_hamiltonian(3, 2)
+        count = g.num_vertices
+        full = (1 << count) - 1
+        cand = [full ^ ((2 << u) - 1) for u in range(count)]
+        assert _closure_cycle(g.adj, cand, count, list(range(count))) is None
+
+    def test_stall_bipartite(self):
+        # The same shape at k == 2 stops short of the bound n + 1.
+        g = tight_non_hamiltonian(2, 3)
+        n = g.n
+        part1 = ((1 << 2 * n) - 1) ^ ((1 << n) - 1)
+        alternating = [v for i in range(n) for v in (i, n + i)]
+        assert _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating) is None
+
     @pytest.mark.parametrize(("k", "n"), [(4, 16), (3, 21)])
     @pytest.mark.parametrize("family", ["rand", "hub"])
     def test_work_bound(self, k, n, family):
