@@ -33,8 +33,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .conditions import check_ore, edge_threshold, meets_sigma_bound
-from .errors import ConstructionFailed, HypothesisNotMet, InvalidCycle, StitchFailed
-from .graph import KPartiteGraph, add_edge, bits, part_masks, stats
+from .errors import (
+    ConstructionFailed, HypothesisNotMet, InvalidCycle, StitchFailed, TooSmall
+)
+from .graph import KPartiteGraph, add_edge, bits, complement, part_masks, stats
 from .paths import canonical_cycle, validate_hamilton_path, validate_path
 
 logger = logging.getLogger(__name__)
@@ -131,12 +133,15 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
     """Turn a Hamilton path whose end degrees sum to at least N into a
     Hamilton cycle.
 
-    Raises InvalidPath when the input is not a Hamilton path of the graph
-    and HypothesisNotMet when the degree-sum precondition fails. With the
-    precondition satisfied a crossing pair always exists: if none did, the
-    two ends could have at most N-1 neighbors between them.
+    Raises TooSmall below 3 vertices, InvalidPath when the input is not a
+    Hamilton path of the graph and HypothesisNotMet when the degree-sum
+    precondition fails. With the precondition satisfied a crossing pair
+    always exists: if none did, the two ends could have at most N-1
+    neighbors between them.
     """
     rows = tuple(adj)
+    if len(rows) < 3:
+        raise TooSmall(f"a Hamilton cycle needs at least 3 vertices, got {len(rows)}")
     validate_hamilton_path(rows, path)
     end_sum = rows[path[0]].bit_count() + rows[path[-1]].bit_count()
     if end_sum < len(rows):
@@ -171,16 +176,16 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 
 def _closure_cycle(
     adj: Sequence[int], cand: Sequence[int], bound: int, start: list[int]
-) -> tuple[int, ...] | None:
+) -> tuple[int, ...]:
     """Close adj over the candidate pairs, then unwind start onto adj.
 
     cand[u] masks the vertices row u may be joined to. Each step joins the
     lexicographically first open candidate pair (u, v) whose degree sum
     reaches bound. Once no open candidate pair is left, start (a Hamilton
     cycle of the closed graph) is carried back by removing the added edges
-    in reverse order and rerouting around each one it uses. Returns None
-    when the closure stops short; a reroute that finds no crossing pair
-    raises ConstructionFailed (see _close).
+    in reverse order and rerouting around each one it uses. Raises
+    ConstructionFailed when the closure stops short with an open candidate
+    pair, or when a reroute finds no crossing pair (see _close).
 
     The bit mask pending holds exactly the rows w that still have an open
     candidate pair (cand[w] & ~rows[w] nonzero). Rows only gain edges while
@@ -227,7 +232,7 @@ def _closure_cycle(
                     u = a
                     break
     if pending:
-        return None
+        raise ConstructionFailed("degree-sum closure did not complete")
     cycle = start
     for u, v in reversed(added):
         rows[u] &= ~(1 << v)
@@ -239,15 +244,12 @@ def _closure_cycle(
 
 
 def _complete_closure(adj: Sequence[int]) -> tuple[int, ...]:
-    """All-pairs closure at bound N, started from the cycle 0, 1, ..., N-1.
-    Raises ConstructionFailed when the closure stops short."""
+    """All-pairs closure at bound N, started from the cycle 0, 1, ..., N-1;
+    see _closure_cycle for the ConstructionFailed it raises."""
     count = len(adj)
     full = (1 << count) - 1
     above = [full ^ ((2 << u) - 1) for u in range(count)]
-    cyc = _closure_cycle(adj, above, count, list(range(count)))
-    if cyc is None:
-        raise ConstructionFailed("degree-sum closure did not complete")
-    return cyc
+    return _closure_cycle(adj, above, count, list(range(count)))
 
 
 def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
@@ -294,17 +296,11 @@ def build_transversal_path(
     if len(nbr_parts) < 2:
         raise HypothesisNotMet("anchor's neighborhood meets fewer than 2 parts")
 
-    if p_forb in nbr_parts:
-        lead = nbr & blocks[p_forb]
-        first = (lead & -lead).bit_length() - 1
-        rest = nbr & ~blocks[p_forb]
-        third = (rest & -rest).bit_length() - 1
-        tail_parts = sorted(set(range(k)) - {p_anchor, p_forb, third // n})
-    else:
-        first = (nbr & -nbr).bit_length() - 1
-        rest = nbr & ~blocks[first // n]
-        third = (rest & -rest).bit_length() - 1
-        tail_parts = sorted(set(range(k)) - {p_anchor, first // n, third // n, p_forb})
+    lead = p_forb if p_forb in nbr_parts else next(bits(nbr)) // n
+    first = next(bits(nbr & blocks[lead]))
+    third = next(bits(nbr & ~blocks[lead]))
+    tail_parts = sorted(set(range(k)) - {p_anchor, lead, third // n, p_forb})
+    if lead != p_forb:
         tail_parts.append(p_forb)
 
     path = [first, anchor, third]
@@ -375,7 +371,7 @@ def _walk(g: KPartiteGraph, path: list[int], parts: Iterable[int], used: int) ->
             raise ConstructionFailed(
                 f"no admissible part-{part} neighbor after vertex {path[-1]}"
             )
-        nxt = (cand & -cand).bit_length() - 1
+        nxt = next(bits(cand))
         path.append(nxt)
         used |= 1 << nxt
     return used
@@ -455,8 +451,6 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     part1 = part_masks(2, n)[1]
     alternating = [v for i in range(n) for v in (i, n + i)]
     cyc = _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating)
-    if cyc is None:
-        raise ConstructionFailed("bipartite closure did not complete")
     trace.append(LEMMA_CLOSURE)
     return cyc
 
@@ -572,7 +566,7 @@ def _attach_pair_and_close(
     for i in nbr_pos:
         if rows[low] >> cyc[(i + 1) % length] & 1:
             bigger = cyc[: i + 1] + [low] + cyc[i + 1 :]
-            z = (rows[twin] & -rows[twin]).bit_length() - 1
+            z = next(bits(rows[twin]))
             at = bigger.index(z)
             other = bigger[(at + 1) % len(bigger)]
             if other == low:
@@ -639,19 +633,8 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
         return SolveResult(None, (), FAIL_HYPOTHESIS)
 
     trace: list[str] = [T11_ADD_EDGE]
-    low, high = st.sigma_pair
-    blocked = (1 << low) | (1 << high)
-    blocks = part_masks(g.k, g.n)
-    full = (1 << g.num_vertices) - 1
-    extra: tuple[int, int] | None = None
-    for a in range(g.num_vertices):
-        if blocked >> a & 1:
-            continue
-        miss = full & ~blocks[a // g.n] & ~g.adj[a] & ~blocked
-        miss &= ~((1 << (a + 1)) - 1)
-        if miss:
-            extra = (a, (miss & -miss).bit_length() - 1)
-            break
+    pair = set(st.sigma_pair)
+    extra = next((e for e in complement(g).edges() if pair.isdisjoint(e)), None)
     if extra is None:
         return _finish_with_search(g, trace, "every missing edge touches the pair")
 

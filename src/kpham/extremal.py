@@ -96,21 +96,6 @@ class FaultReport:
         return self.survived + self.failed
 
 
-def _decide_instance(
-    g: KPartiteGraph, threshold: int, cross_check: bool
-) -> tuple[bool, bool, bool]:
-    """Return (hamiltonian, used_fallback, disagreement) for one instance."""
-    if g.edge_count >= threshold:
-        result = solve(g)
-        fallback = SEARCH_FALLBACK in result.trace
-        alive = result.cycle is not None and is_hamilton_cycle(g.adj, result.cycle)
-        if cross_check and g.num_vertices <= ORACLE_VERTEX_CAP:
-            truth = is_hamiltonian(g).hamiltonian
-            return alive, fallback, alive != truth
-        return alive, fallback, False
-    return is_hamiltonian(g).hamiltonian, False, False
-
-
 def _fault_chunk(
     args: tuple[int, int, int, int | None, bool, bool, int, int],
 ) -> tuple[int, int, int, list[tuple[tuple[int, int], ...]]]:
@@ -130,13 +115,18 @@ def _fault_chunk(
     base = new_complete(k, n)
     for dropped in picks:
         g, _ = remove_edges(base, dropped)
-        alive, fallback, mismatch = _decide_instance(g, threshold, cross_check)
+        if g.edge_count >= threshold:
+            result = solve(g)
+            fallbacks += SEARCH_FALLBACK in result.trace
+            alive = result.cycle is not None and is_hamilton_cycle(g.adj, result.cycle)
+            if cross_check and k * n <= ORACLE_VERTEX_CAP:
+                disagreements += alive != is_hamiltonian(g).hamiltonian
+        else:
+            alive = is_hamiltonian(g).hamiltonian
         if alive:
             survived += 1
         else:
             failures.append(tuple(dropped))
-        fallbacks += fallback
-        disagreements += mismatch
     return survived, fallbacks, disagreements, failures
 
 

@@ -223,7 +223,9 @@ def _sweep_chunk(
     order."""
     k, n, min_edges, lo, hi = args
     host = new_complete(k, n).edges()
-    threshold = edge_threshold(k, n)
+    # solve() owes a cycle at the threshold on every shape but (2, 1), a
+    # single edge; there no instance reaches the solver.
+    threshold = edge_threshold(k, n) if (k, n) != (2, 1) else len(host) + 1
     subsets = chain.from_iterable(
         combinations(host, size) for size in range(min_edges, len(host) + 1)
     )
@@ -295,9 +297,10 @@ def enumerate_threshold_sweep(
     min_edges edges (default: the threshold), and summarize.
 
     The solver runs only on instances at or above the threshold, where it
-    owes an answer; disagreements with the oracle are returned as
-    counterexamples (the expected count is zero), in sweep order: sizes
-    ascending, then itertools.combinations order over the host edges.
+    owes an answer (never at (2, 1), see solve()); disagreements with the
+    oracle are returned as counterexamples (the expected count is zero), in
+    sweep order: sizes ascending, then itertools.combinations order over the
+    host edges.
     The sweep runs as max(1, min(jobs, instances, CPU count)) index
     ranges; two or more run in a process pool, one worker each (see
     run_chunks).

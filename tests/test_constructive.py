@@ -90,6 +90,13 @@ class TestClosePath:
         with pytest.raises(HypothesisNotMet, match="degree sum"):
             close_hamilton_path(rows, [0, 1, 2, 3])
 
+    @pytest.mark.parametrize(("rows", "path"), [((0b10, 0b01), [0, 1]), ((0,), [0])])
+    def test_fewer_than_three_vertices(self, rows, path):
+        # Two vertices joined by one edge would "close" into (0, 1), which
+        # validate_hamilton_cycle rejects.
+        with pytest.raises(TooSmall, match="at least 3 vertices"):
+            close_hamilton_path(rows, path)
+
     def test_not_a_hamilton_path(self):
         g = new_complete(2, 2)
         with pytest.raises(InvalidPath):
@@ -379,12 +386,15 @@ class _CountingList(list):
 
 
 class TestClosure:
+    STALL = "degree-sum closure did not complete"
+
     @settings(max_examples=200, deadline=None)
     @given(partite_graphs(max_k=4, max_n=3))
     def test_matches_restart_closure(self, g):
         # Below the threshold the closure often stops short or joins pairs
         # in an order that threshold inputs never reach; both must match
-        # the restart-from-row-0 reference exactly.
+        # the restart-from-row-0 reference exactly, and a stop short, where
+        # the reference returns None, must raise.
         count = g.num_vertices
         if count < 3:
             return
@@ -395,9 +405,12 @@ class TestClosure:
             alternating = [v for i in range(g.n) for v in (i, g.n + i)]
             shapes.append(([part1] * g.n + [0] * g.n, g.n + 1, alternating))
         for cand, bound, start in shapes:
-            assert _closure_cycle(g.adj, cand, bound, list(start)) == (
-                _restart_closure_cycle(g.adj, cand, bound, start)
-            )
+            want = _restart_closure_cycle(g.adj, cand, bound, start)
+            if want is None:
+                with pytest.raises(ConstructionFailed, match=self.STALL):
+                    _closure_cycle(g.adj, cand, bound, list(start))
+            else:
+                assert _closure_cycle(g.adj, cand, bound, list(start)) == want
 
     @pytest.mark.parametrize(
         ("k", "n", "edges", "want"),
@@ -432,7 +445,8 @@ class TestClosure:
         count = g.num_vertices
         full = (1 << count) - 1
         cand = [full ^ ((2 << u) - 1) for u in range(count)]
-        assert _closure_cycle(g.adj, cand, count, list(range(count))) is None
+        with pytest.raises(ConstructionFailed, match=self.STALL):
+            _closure_cycle(g.adj, cand, count, list(range(count)))
 
     def test_stall_bipartite(self):
         # The same shape at k == 2 stops short of the bound n + 1.
@@ -440,7 +454,8 @@ class TestClosure:
         n = g.n
         part1 = ((1 << 2 * n) - 1) ^ ((1 << n) - 1)
         alternating = [v for i in range(n) for v in (i, n + i)]
-        assert _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating) is None
+        with pytest.raises(ConstructionFailed, match=self.STALL):
+            _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating)
 
     @pytest.mark.parametrize(("k", "n"), [(4, 16), (3, 21)])
     @pytest.mark.parametrize("family", ["rand", "hub"])

@@ -178,6 +178,15 @@ class TestSweep:
         assert s.solver_agreements == 1
         assert s.counterexamples == ()
 
+    def test_single_edge_host_owes_no_cycle(self):
+        # solve() owes no cycle at (2, 1), so its TooSmall answer on the
+        # lone host edge is not a counterexample.
+        s = enumerate_threshold_sweep(2, 1)
+        assert s.total == 1
+        assert s.non_hamiltonian == 1
+        assert s.solver_agreements == 0
+        assert s.counterexamples == ()
+
     def test_3_2_at_threshold(self):
         s = enumerate_threshold_sweep(3, 2)
         assert s.total == 79
