@@ -104,14 +104,14 @@ class SolveResult:
 def _close(rows: Sequence[int], path: list[int]) -> list[int]:
     """Close a path into a cycle on the same vertex set.
 
-    If the ends are adjacent the path closes directly. Otherwise reroute
+    If the ends are adjacent the path itself is the cycle. Otherwise reroute
     through the first index i with path[0] ~ path[i] and path[-1] ~
     path[i-1]; raises ConstructionFailed when no index qualifies, which the
     end-degree bound of a closure unwind or close_hamilton_path rules out.
     """
     first, last = path[0], path[-1]
     if rows[first] >> last & 1:
-        return list(path)
+        return path
     for i in range(2, len(path) - 1):
         if rows[first] >> path[i] & 1 and rows[last] >> path[i - 1] & 1:
             return path[:i] + path[i:][::-1]
@@ -177,30 +177,41 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 def _closure_cycle(
     adj: Sequence[int], cand: Sequence[int], bound: int, start: list[int]
 ) -> tuple[int, ...]:
-    """Close adj over the candidate pairs, then unwind start onto adj.
+    """Close adj over the candidate pairs until start is a cycle of the
+    closed graph, then unwind start onto adj.
 
-    cand[u] masks the vertices row u may be joined to. Each step joins the
-    lexicographically first open candidate pair (u, v) whose degree sum
-    reaches bound. Once no open candidate pair is left, start (a Hamilton
-    cycle of the closed graph) is carried back by removing the added edges
-    in reverse order and rerouting around each one it uses. Raises
-    ConstructionFailed when the closure stops short with an open candidate
-    pair, or when a reroute finds no crossing pair (see _close).
+    cand[u] masks the vertices row u may be joined to, and every edge of
+    start must be a candidate pair. Each step joins the lexicographically
+    first open candidate pair (u, v) whose degree sum reaches bound, and
+    the joins stop as soon as every edge of start is present: the unwind
+    needs only that start is a Hamilton cycle of the closed graph. start is
+    then carried back by removing the added edges in reverse order and
+    rerouting around each one it uses. Raises ConstructionFailed when the
+    closure stops short with an edge of start still absent, or when a
+    reroute finds no crossing pair (see _close).
 
     The bit mask pending holds exactly the rows w that still have an open
     candidate pair (cand[w] & ~rows[w] nonzero). Rows only gain edges while
     the closure runs, so a row leaves pending at most once and never comes
-    back, and only a pending row can hold the next pair to join.
+    back, and only a pending row can hold the next pair to join. pos[w] is
+    w's place on the running cycle, so a virtual edge off the cycle costs
+    O(1) to recognise, in the joins and in the unwind.
     """
     rows = list(adj)
+    count = len(rows)
     deg = [row.bit_count() for row in rows]
+    pos = [0] * count
+    for i, w in enumerate(start):
+        pos[w] = i
+    on_cycle = (1, count - 1)
+    absent = sum(not rows[a] >> b & 1 for a, b in zip(start, start[1:] + start[:1]))
     added: list[tuple[int, int]] = []
     pending = 0
     for w, row in enumerate(rows):
         if cand[w] & ~row:
             pending |= 1 << w
     u = 0
-    while u < len(rows):
+    while absent and u < count:
         for v in bits(cand[u] & ~rows[u]):
             if deg[u] + deg[v] >= bound:
                 break
@@ -212,6 +223,8 @@ def _closure_cycle(
         deg[u] += 1
         deg[v] += 1
         added.append((u, v))
+        if (pos[u] - pos[v]) % count in on_cycle:
+            absent -= 1
         if not cand[u] & ~rows[u]:
             pending &= ~(1 << u)
         if not cand[v] & ~rows[v]:
@@ -231,15 +244,16 @@ def _closure_cycle(
                 ):
                     u = a
                     break
-    if pending:
+    if absent:
         raise ConstructionFailed("degree-sum closure did not complete")
     cycle = start
     for u, v in reversed(added):
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        path = _open_at(cycle, u, v)
-        if path is not None:
-            cycle = _close(rows, path)
+        if (pos[u] - pos[v]) % count in on_cycle:
+            cycle = _close(rows, _open_at(cycle, u, v))
+            for i, w in enumerate(cycle):
+                pos[w] = i
     return canonical_cycle(cycle)
 
 

@@ -390,6 +390,9 @@ class TestClosure:
 
     @settings(max_examples=200, deadline=None)
     @given(partite_graphs(max_k=4, max_n=3))
+    # The all-pairs closure stalls on these, after its start cycle
+    # 0, 2, 4, 1, 3, 5 (the graph's own edges) is complete.
+    @example(from_edge_list(3, 2, [(0, 2), (0, 5), (1, 3), (1, 4), (2, 4), (3, 5)]))
     def test_matches_restart_closure(self, g):
         # Below the threshold the closure often stops short or joins pairs
         # in an order that threshold inputs never reach; both must match
@@ -411,6 +414,24 @@ class TestClosure:
                     _closure_cycle(g.adj, cand, bound, list(start))
             else:
                 assert _closure_cycle(g.adj, cand, bound, list(start)) == want
+        if g.n >= 2:
+            # The solver's cross-part start uses no same-part edge, so the
+            # closure may reach it and stop before it would stall: it must
+            # raise exactly when some start edge stays out of the full
+            # closure, and otherwise return a cycle of g.
+            cand, bound = shapes[0][:2]
+            start = [p * g.n + i for i in range(g.n) for p in range(g.k)]
+            joins = []
+            want = _restart_closure_cycle(g.adj, cand, bound, start, joins)
+            closed = set(g.edges()) | set(joins)
+            ring = zip(start, start[1:] + start[:1])
+            if not all((min(e), max(e)) in closed for e in ring):
+                with pytest.raises(ConstructionFailed, match=self.STALL):
+                    _closure_cycle(g.adj, cand, bound, list(start))
+            elif want is None:
+                validate_hamilton_cycle(g.adj, _closure_cycle(g.adj, cand, bound, start))
+            else:
+                assert _closure_cycle(g.adj, cand, bound, start) == want
 
     @pytest.mark.parametrize(
         ("k", "n", "edges", "want"),
