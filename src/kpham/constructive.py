@@ -158,17 +158,20 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 # Hamiltonicity (Bondy & Chvatal): a cycle through the virtual edge leaves a
 # Hamilton path whose ends met the degree bound at insertion time, and the
 # crossing-pair reroute replaces the virtual edge with real ones. Adding
-# edges only raises degrees, so the process often ends at a graph with an
-# obvious cycle; unwinding the additions in reverse order then yields a
-# cycle of the original graph.
+# edges only raises degrees, so the process can be run until the graph
+# holds a chosen Hamilton cycle, the start cycle; any start cycle serves,
+# and the joins stop as soon as its last edge is present. Unwinding the
+# additions in reverse order then yields a cycle of the original graph.
 #
-# One routine serves all three closure routes. The n == 1 route and the
-# multipartite route (n == 2 and general) may join any pair at bound N and
-# end at the complete graph, whose cycle is 0, 1, ..., N-1; at n == 1 the
-# degree-sum condition lets every nonadjacent pair join from the first
-# step, so the closure always completes there. The k == 2 route joins only
-# cross pairs at bound n + 1 and ends at the complete bipartite graph with
-# its alternating cycle: on a balanced bipartite graph a Hamilton path left
+# One routine serves all three closure routes, each started from the host
+# cycle that visits the parts in turn (_host_cycle). It uses only cross-part
+# edges, so the joins stop well before the closure is complete. The n == 1
+# route and the multipartite route (n == 2 and general) may join any pair
+# at bound N; at n == 1 the start is 0, 1, ..., N-1, and the degree-sum
+# condition lets every nonadjacent pair join from the first step, so the
+# closure always reaches it. The k == 2 route joins only cross pairs at
+# bound n + 1, and its start is the alternating cycle of the complete
+# bipartite graph: on a balanced bipartite graph a Hamilton path left
 # by deleting a cross edge from a Hamilton cycle alternates parts, and ends
 # with degree sum >= n + 1 always admit a crossing pair, so the unwind is
 # safe at that lower bound.
@@ -233,7 +236,7 @@ def _closure_cycle(
         # in the lowest pending row below u that now qualifies at u or v,
         # or else in row u itself. At the threshold every earlier row is
         # finished by the time the closure moves past it (no rewind in
-        # ~38 000 joins over each seed's 168 solve-n64 benchmark
+        # ~14 000 joins over each seed's 168 solve-n64 benchmark
         # instances), so back is almost always empty.
         back = pending & ((1 << u) - 1)
         if back:
@@ -257,13 +260,21 @@ def _closure_cycle(
     return canonical_cycle(cycle)
 
 
-def _complete_closure(adj: Sequence[int]) -> tuple[int, ...]:
-    """All-pairs closure at bound N, started from the cycle 0, 1, ..., N-1;
-    see _closure_cycle for the ConstructionFailed it raises."""
+def _host_cycle(k: int, n: int) -> list[int]:
+    """The cycle of the k-partite host that visits the parts in turn,
+    0, n, 2n, ..., 1, n + 1, ...: it uses only cross-part edges, and at
+    n == 1 it is 0, 1, ..., k-1."""
+    return [p * n + i for i in range(n) for p in range(k)]
+
+
+def _complete_closure(adj: Sequence[int], n: int = 1) -> tuple[int, ...]:
+    """All-pairs closure at bound N, started from the host cycle of the
+    n-balanced parts of adj (0, 1, ..., N-1 at n == 1); see _closure_cycle
+    for the ConstructionFailed it raises."""
     count = len(adj)
     full = (1 << count) - 1
     above = [full ^ ((2 << u) - 1) for u in range(count)]
-    return _closure_cycle(adj, above, count, list(range(count)))
+    return _closure_cycle(adj, above, count, _host_cycle(count // n, n))
 
 
 def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
@@ -463,8 +474,7 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     trace.append(BASE_K2)
     n = g.n
     part1 = part_masks(2, n)[1]
-    alternating = [v for i in range(n) for v in (i, n + i)]
-    cyc = _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, alternating)
+    cyc = _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, _host_cycle(2, n))
     trace.append(LEMMA_CLOSURE)
     return cyc
 
@@ -482,7 +492,7 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
         trace.append(BASE_N2)
     st = stats(g)
     if meets_sigma_bound(g.k, g.n, st.sigma):
-        cyc = _complete_closure(g.adj)
+        cyc = _complete_closure(g.adj, g.n)
         trace.append(LEMMA_CLOSURE)
         return cyc
     low, high = st.sigma_pair

@@ -640,15 +640,16 @@ class TestSolveTheorem11:
         assert solve_theorem11(new_complete(2, 1)).failure == "TooSmall"
 
     def test_reroute_failure_falls_back(self, caplog):
-        # The sigma pair is (0, 6), so the route adds (1, 8). The augmented
-        # cycle uses it, and the path left by dropping it has no crossing
-        # pair in the original graph.
+        # The sigma pair is (5, 6), so (4, 7) is the only admissible virtual
+        # edge. The augmented cycle uses it, and the path left by dropping it
+        # has no crossing pair in the original graph.
         caplog.set_level(logging.INFO, logger="kpham.constructive")
         g, _ = remove_edges(
-            new_complete(3, 3), [(0, 6), (0, 8), (1, 6), (1, 8), (2, 4)]
+            new_complete(3, 3), [(4, 6), (4, 7), (5, 6), (5, 7), (5, 8)]
         )
         assert solve_theorem11(g).serialize() == (
-            "cycle 0 4 1 3 6 2 8 5 7\ntrace T11AddEdge,LemmaClosure,SearchFallback\n"
+            "cycle 0 5 1 4 8 2 6 3 7\n"
+            "trace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch,SearchFallback\n"
         )
         records = [r for r in caplog.records if r.name == "kpham.constructive"]
         assert [r.levelno for r in records] == [logging.INFO]
@@ -903,25 +904,25 @@ GOLDEN_LITERALS = [
     ),
     (
         4, 2, [(0, 2), (1, 4), (3, 7), (5, 6)],
-        'cycle 0 6 4 3 1 2 5 7\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 6 4 3 1 2 5 7\ntrace T11AddEdge,BaseN2,LemmaClosure\n',
+        'cycle 0 5 3 1 6 4 2 7\ntrace BaseN2,LemmaClosure\n',
+        'cycle 0 4 6 2 1 3 5 7\ntrace T11AddEdge,BaseN2,LemmaClosure\n',
     ),
     (
         5, 2, [(2, 6), (4, 6), (5, 8), (6, 8), (6, 9), (7, 8)],
-        'cycle 0 7 9 5 2 1 6 3 4 8\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
-        'cycle 0 7 9 5 3 6 1 2 4 8\ntrace T11AddEdge,BaseN2,BaseN2,LemmaClosure,LemmaClosure,LemmaClosure\n',
+        'cycle 0 7 2 4 8 1 6 3 5 9\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 7 2 4 8 1 6 3 5 9\ntrace T11AddEdge,BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
     ),
     (
         # sigma pair (2, 4) is reordered so the lower-degree vertex 4 leads
         # and its part is the one dropped
         5, 2, [(0, 2), (0, 4), (2, 4), (2, 6), (4, 7), (4, 9)],
-        'cycle 0 5 7 8 4 6 3 1 2 9\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 5 6 4 1 3 7 9 2 8\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
         'cycle 0 8 5 3 7 2 1 4 6 9\ntrace T11AddEdge,SearchFallback\n',
     ),
     (
         3, 3, [(0, 4), (0, 6), (0, 8), (1, 8)],
-        'cycle 0 3 6 1 4 2 8 5 7\ntrace Case1,BaseN2,LemmaClosure,MatchStitch\n',
-        'cycle 0 3 2 8 5 1 6 4 7\ntrace T11AddEdge,Case1,BaseN2,LemmaClosure,MatchStitch,LemmaClosure\n',
+        'cycle 0 3 2 6 1 4 8 5 7\ntrace Case1,BaseN2,LemmaClosure,MatchStitch\n',
+        'cycle 0 3 2 8 4 1 6 5 7\ntrace T11AddEdge,Case1,BaseN2,LemmaClosure,MatchStitch,LemmaClosure\n',
     ),
     (
         3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)],
@@ -930,19 +931,19 @@ GOLDEN_LITERALS = [
     ),
     (
         4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
-        'cycle 0 10 7 9 6 5 2 4 1 3 8 11\ntrace LemmaClosure\n',
+        'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace LemmaClosure\n',
         'cycle 0 9 4 6 2 11 8 5 1 7 3 10\ntrace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch\n',
     ),
     (
         # the part-drop cannot insert vertex 8 between two consecutive
         # neighbours, so it reroutes and closes through a crossing pair
         5, 2, [(0, 8), (1, 8), (1, 9), (4, 8), (5, 8), (7, 8)],
-        'cycle 0 2 8 3 1 4 9 6 5 7\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 2 8 3 1 6 4 9 5 7\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
         'cycle 0 2 1 4 7 5 9 3 8 6\ntrace T11AddEdge,SearchFallback\n',
     ),
 ]
 
-GOLDEN_BATCH_SHA256 = "b1c07114f5be28d19d19f1f3d0ff8029e12b213dc2cd0845195ece3054a215d0"
+GOLDEN_BATCH_SHA256 = "901fca98f250637eff9f1dfbe7f84b6a68ddd2fc5841adbd841c58fb963e606e"
 
 
 class TestGolden:
