@@ -641,11 +641,13 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
     """Extended solve admitting edge counts one below the threshold when the
     minimum degree is at least 2.
 
-    At the threshold this defers to solve(). One edge short, it adds the
-    lexicographically first missing cross-part edge not touching the
-    minimizing nonadjacent pair, solves the augmented graph, and either
-    keeps the cycle (when the virtual edge is unused) or reroutes around
-    it with a crossing pair; failing that, it searches the original graph.
+    At the threshold this defers to solve(). One edge short, it tries each
+    missing cross-part edge not touching the minimizing nonadjacent pair,
+    in lexicographic order: it adds the edge (tagging T11AddEdge), solves
+    the augmented graph, and either keeps the cycle (when the virtual edge
+    is unused) or reroutes around it with a crossing pair. When no edge
+    qualifies, or every reroute finds no crossing pair, it searches the
+    original graph. That is at most (k-1)n - 1 solves before the search.
     """
     if (g.k, g.n) == (2, 1):
         return SolveResult(None, (), FAIL_TOO_SMALL)
@@ -656,27 +658,27 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
     if st.edge_count < need - 1 or st.min_degree < 2:
         return SolveResult(None, (), FAIL_HYPOTHESIS)
 
-    trace: list[str] = [T11_ADD_EDGE]
     pair = set(st.sigma_pair)
-    extra = next((e for e in complement(g).edges() if pair.isdisjoint(e)), None)
-    if extra is None:
-        return _finish_with_search(g, trace, "every missing edge touches the pair")
-
-    augmented = add_edge(g, *extra)
-    sub_result = solve(augmented)
-    trace.extend(sub_result.trace)
-    if sub_result.cycle is None:
-        return _finish_with_search(g, trace, "augmented solve failed")
-    cyc = list(sub_result.cycle)
-    pathway = _open_at(cyc, *extra)
-    if pathway is None:
-        return SolveResult(canonical_cycle(cyc), tuple(trace), None)
-    try:
-        rerouted = _close(g.adj, pathway)
-    except ConstructionFailed:
-        return _finish_with_search(g, trace, "virtual-edge reroute found no crossing")
-    trace.append(LEMMA_CLOSURE)
-    return SolveResult(canonical_cycle(rerouted), tuple(trace), None)
+    extras = [e for e in complement(g).edges() if pair.isdisjoint(e)]
+    if not extras:
+        return _finish_with_search(g, [T11_ADD_EDGE], "every missing edge touches the pair")
+    trace: list[str] = []
+    for extra in extras:
+        trace.append(T11_ADD_EDGE)
+        sub_result = solve(add_edge(g, *extra))
+        trace.extend(sub_result.trace)
+        if sub_result.cycle is None:
+            return _finish_with_search(g, trace, "augmented solve failed")
+        pathway = _open_at(list(sub_result.cycle), *extra)
+        if pathway is None:
+            return SolveResult(sub_result.cycle, tuple(trace), None)
+        try:
+            rerouted = _close(g.adj, pathway)
+        except ConstructionFailed:
+            continue
+        trace.append(LEMMA_CLOSURE)
+        return SolveResult(canonical_cycle(rerouted), tuple(trace), None)
+    return _finish_with_search(g, trace, "virtual-edge reroute found no crossing")
 
 
 def _finish_with_search(

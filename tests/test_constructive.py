@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -47,6 +48,7 @@ from kpham import (
     tight_non_hamiltonian,
     validate_hamilton_cycle,
 )
+from kpham import constructive
 from kpham.constructive import TRACE_TAGS, _closure_cycle
 from kpham.graph import adjacency_from_edges
 from kpham.oracle import is_hamiltonian
@@ -656,6 +658,53 @@ class TestSolveTheorem11:
         assert records[0].getMessage().startswith(
             "constructive gap: virtual-edge reroute found no crossing [k=3 n=3 m=22"
         )
+
+    def test_second_virtual_edge_after_reroute_failure(self, caplog):
+        # The sigma pair is (3, 7). The first admissible edge (4, 6) lies on
+        # the augmented cycle and its reroute finds no crossing pair; the
+        # next one, (5, 6), is left off the augmented cycle.
+        caplog.set_level(logging.INFO, logger="kpham.constructive")
+        g, _ = remove_edges(
+            new_complete(3, 3), [(3, 7), (3, 8), (4, 6), (4, 7), (5, 6)]
+        )
+        assert solve_theorem11(g).serialize() == (
+            "cycle 0 3 6 2 4 1 7 5 8\n"
+            "trace T11AddEdge,LemmaClosure,T11AddEdge,LemmaClosure\n"
+        )
+        assert not [r for r in caplog.records if r.name == "kpham.constructive"]
+
+    def test_one_short_3x3_gap_sample(self, monkeypatch):
+        # A seeded fifth of the one-edge-short (3,3) graphs with minimum
+        # degree 2, with each gap reason pinned. Over all 80 676 of them,
+        # trying every admissible virtual edge before the search takes the
+        # reroute gap from 150 to 93 (140 from the old 0, 1, ..., N-1 start
+        # with one virtual edge; on this sample 29, and 25 before).
+        gaps = Counter()
+        finish = constructive._finish_with_search
+
+        def counting_finish(g, trace, reason):
+            gaps[reason] += 1
+            return finish(g, trace, reason)
+
+        monkeypatch.setattr(constructive, "_finish_with_search", counting_finish)
+        rng = random.Random(15)
+        graphs = second_edge = 0
+        for combo in combinations(host_edges(3, 3), edge_threshold(3, 3) - 1):
+            if rng.random() >= 0.2:
+                continue
+            g = from_edge_list(3, 3, combo)
+            if min(g.degree(v) for v in range(9)) < 2:
+                continue
+            r = solve_theorem11(g)
+            validate_hamilton_cycle(g.adj, r.cycle)
+            graphs += 1
+            second_edge += r.trace.count("T11AddEdge") > 1
+        assert (graphs, second_edge) == (16072, 15)
+        assert gaps == {
+            "every missing edge touches the pair": 959,
+            "remainder solve failed: HypothesisNotMet": 44,
+            "virtual-edge reroute found no crossing": 14,
+        }
 
     def test_all_one_short_min_degree_two_agree_with_oracle(self):
         # every 9-edge (3, 2) instance with min degree 2: the solver's
