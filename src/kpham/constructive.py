@@ -282,8 +282,8 @@ def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
     condition (every nonadjacent u, v has degree sum >= N).
 
     Under that condition every nonadjacent pair qualifies for the all-pairs
-    closure at bound N from the first step, so the closure reaches the
-    complete graph and its unwind carries 0, 1, ..., N-1 back onto adj.
+    closure at bound N from the first step, so the closure reaches the start
+    cycle 0, 1, ..., N-1, and its unwind carries that cycle back onto adj.
     """
     ok, witness = check_ore(adj)
     if not ok:
