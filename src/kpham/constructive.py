@@ -6,23 +6,19 @@ and produces a Hamilton cycle by the route matching the instance shape:
 * n == 1          edge bound implies the degree-sum condition; degree-sum
                   closure over all pairs at bound N
 * k == 2          degree-sum closure over cross pairs at bound n + 1
-* k >= 3, n >= 2  degree-sum closure over all pairs at bound N when the sigma
-                  bound holds; otherwise take a minimum-degree-sum pair and
-                  - at n == 2, drop the part of its lower-degree vertex, solve
-                    the (k-1)-part remainder, and reattach the two vertices;
-                  - at n >= 3, peel a transversal path (or two) through that
-                    vertex, recurse on the balanced remainder, and stitch the
-                    pieces along a matching edge of the remainder cycle
+* k >= 3, n >= 2  degree-sum closure over all pairs at bound N, complete
+                  because the edge bound implies Chvatal's degree-sequence
+                  condition (see _solve_multi)
 
 Every branch records a tag in SolveResult.trace. A route that runs out of
 admissible moves raises ConstructionFailed; solve() catches it in one place,
 falls back to exhaustive search, tags the trace with SearchFallback, and
 logs the reason and the instance at INFO, so the gap rate between guaranteed
-hypotheses and realized constructions stays measurable. A nested solve() of
-a remainder catches and logs its own gaps.
+hypotheses and realized constructions stays measurable. The nested solve()
+of a theorem-11 augmented graph catches and logs its own gaps.
 
-Determinism contract: every choice (neighbor, pair, matching edge, branch
-order) is resolved lowest-id first, and cycles are returned in canonical
+Determinism contract: every choice (joined pair, crossing index, virtual
+edge) is resolved lowest-id first, and cycles are returned in canonical
 form, so identical inputs always produce identical results.
 """
 
@@ -32,7 +28,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .conditions import check_ore, edge_threshold, meets_sigma_bound
+from .conditions import check_ore, edge_threshold
 from .errors import (
     ConstructionFailed, HypothesisNotMet, InvalidCycle, StitchFailed, TooSmall
 )
@@ -234,10 +230,10 @@ def _closure_cycle(
             pending &= ~(1 << v)
         # Only pairs at u or v gained degree, so the next pair to join lies
         # in the lowest pending row below u that now qualifies at u or v,
-        # or else in row u itself. At the threshold every earlier row is
-        # finished by the time the closure moves past it (no rewind in
-        # ~14 000 joins over each seed's 168 solve-n64 benchmark
-        # instances), so back is almost always empty.
+        # or else in row u itself. Over the solve-n64 benchmark instances
+        # of seeds 31337, 1 and 2, back stays empty on the rand graphs
+        # (~30 000 joins), and on the hub graphs it is set after 161 and a
+        # rewind taken after 16 of ~32 700 joins.
         back = pending & ((1 << u) - 1)
         if back:
             for a in bits(back):
@@ -480,35 +476,35 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
 
 
 def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
-    """k >= 3, n >= 2.
+    """k >= 3, n >= 2: the all-pairs closure at bound N, which the edge
+    threshold makes complete.
 
-    Under the sigma bound the all-pairs closure at bound N completes: for
-    k != 4 the bound means every nonadjacent pair sums to at least N, and
-    the exhaustive (4,2) sweep shows no stall at k == 4. Otherwise take the
-    minimum-degree-sum pair, lower-degree vertex first, and peel around it
-    (n >= 3) or drop its part (n == 2).
+    At the threshold D <= (k-1)n - 2 cross edges are missing. A vertex v
+    misses m_v of them, so d(v) = (k-1)n - m_v and the m_v sum to 2D. With
+    the degrees sorted d_1 <= ... <= d_N, no i < N/2 has d_i <= i, with
+    one exception:
+
+    * i = 1: d(v) >= (k-1)n - D >= 2.
+    * i = 2: two vertices of degree <= 2 would miss >= 2(k-1)n - 4 edges,
+      but two vertices miss at most D + 1 <= (k-1)n - 1 between them, and
+      (k-1)n >= 4.
+    * 3 <= i <= (k-1)n - 3: i vertices of degree <= i miss
+      >= i((k-1)n - i) >= 3(k-1)n - 9 > 2D edge ends when (k-1)n > 5.
+      This covers every i < N/2 except i = 4 at (3,3).
+    * (3,3), i = 4: all 8 missing edge ends sit on those four vertices, so
+      d_5 = 6 >= N - 4.
+
+    So Chvatal's degree-sequence condition holds (d_i <= i < N/2 implies
+    d_{N-i} >= N - i), the closure at bound N is complete (Bondy &
+    Chvatal), and the early-stopped closure reaches the host cycle and
+    never raises. The sigma bound alone does not give this: 8694 (3,3)
+    threshold graphs meet it with sigma = 8 < N.
     """
     if g.n == 2:
         trace.append(BASE_N2)
-    st = stats(g)
-    if meets_sigma_bound(g.k, g.n, st.sigma):
-        cyc = _complete_closure(g.adj, g.n)
-        trace.append(LEMMA_CLOSURE)
-        return cyc
-    low, high = st.sigma_pair
-    if g.degree(high) < g.degree(low):
-        low, high = high, low
-    if g.n > 2:
-        return _peel(g, low, high, trace)
-    # At n == 2 the threshold leaves at most 2k-4 edges missing, so here the
-    # pair sums to exactly 2k-1, every missing edge touches it, and dropping
-    # low's part leaves a (k-1)-part remainder at its own threshold. Insert
-    # low into the remainder cycle next to two of its neighbors (or reroute
-    # when they are apart), then close a Hamilton path through its twin.
-    cyc = _solve_remainder(g, (low & ~1, low | 1), g.k - 1, 2, trace)
-    full = _attach_pair_and_close(g, cyc, low, low ^ 1)
+    cyc = _complete_closure(g.adj, g.n)
     trace.append(LEMMA_CLOSURE)
-    return full
+    return cyc
 
 
 def _peel(

@@ -103,9 +103,9 @@ def test_criterion_02_exhaustive_2_3(sweep_2_3):
 
 
 def test_criterion_03_exhaustive_4_2(sweep_4_2):
-    # k = 4 is the one shape where the sigma bound admits a pair summing to
-    # 2k-1 < N at n = 2; zero fallbacks here shows the all-pairs closure
-    # never stalls under the bound.
+    # Every (4,2) threshold graph meets Chvatal's degree-sequence condition,
+    # so the all-pairs closure builds each cycle; zero fallbacks here shows
+    # it never stalls.
     summary, elapsed = sweep_4_2
     ok = (
         summary.total == 12951
@@ -353,16 +353,16 @@ def test_criterion_10_branch_telemetry(sweep_3_2, sweep_2_3, sweep_4_2):
 
 
 def test_criterion_11_exhaustive_3_3(sweep_3_3):
-    # (3,3) is the smallest shape whose sweep reaches Case1, Case2,
-    # MatchStitch and the vertex-removal relabel. The 36 Case2 fallbacks
-    # are known constructive gaps (two-path remainder below threshold);
-    # the bound may only go down.
+    # (3,3) is the only k >= 3, n >= 2 shape with threshold graphs whose
+    # sorted degrees have some d_i <= i < N/2 (108 full-budget deletion
+    # sets; Chvatal's condition still holds), and the all-pairs closure
+    # must build every cycle with no fallback.
     summary, elapsed = sweep_3_3
     ok = (
         summary.total == 20854
         and summary.hamiltonian == 20854
         and summary.counterexamples == ()
-        and summary.solver_fallbacks <= 36
+        and summary.solver_fallbacks == 0
         and elapsed < 180.0
     )
     tag_text = ", ".join(f"{tag}={count}" for tag, count in summary.branch_tags)
@@ -372,6 +372,6 @@ def test_criterion_11_exhaustive_3_3(sweep_3_3):
         ok,
         f"(3,3) sweep at >=23 edges: {summary.hamiltonian}/{summary.total}"
         f" hamiltonian, {len(summary.counterexamples)} counterexamples,"
-        f" {summary.solver_fallbacks} fallbacks <= 36 [{elapsed:.1f}s < 180s]",
+        f" {summary.solver_fallbacks} fallbacks [{elapsed:.1f}s < 180s]",
     )
     assert ok

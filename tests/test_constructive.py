@@ -49,7 +49,7 @@ from kpham import (
     validate_hamilton_cycle,
 )
 from kpham import constructive
-from kpham.constructive import TRACE_TAGS, _closure_cycle
+from kpham.constructive import TRACE_TAGS, _closure_cycle, _complete_closure
 from kpham.graph import adjacency_from_edges
 from kpham.oracle import is_hamiltonian
 
@@ -451,7 +451,8 @@ class TestClosure:
     def test_rewind_literal(self, k, n, edges, want):
         # A join here makes an earlier row qualify again, so the closure
         # must go back to that row: the reference's join rows are not in
-        # ascending order. The solver's own calls almost never do this.
+        # ascending order. The solver's own calls do this only rarely, on
+        # hub graphs.
         g = from_edge_list(k, n, edges)
         count = g.num_vertices
         full = (1 << count) - 1
@@ -487,7 +488,7 @@ class TestClosure:
     def test_work_bound(self, k, n, family):
         # Each join reads O(1) candidate rows: the row it joins in, the two
         # rows it may finish, and the pending rows below it, of which there
-        # are none at the threshold. Rescanning every earlier row after
+        # are few at the threshold. Rescanning every earlier row after
         # each join reads ~9x more on these instances.
         rng = random.Random(4016 if family == "rand" else 321)
         if family == "rand":
@@ -540,27 +541,23 @@ class TestSolve:
                     count += 1
         assert count == 8187
 
-    def test_n2_part_drop_family(self):
-        # At n = 2 each instance drops the edge of a cross pair (low, high)
-        # and 2k-5 more edges at that pair: the whole budget 2k-4. Most fail
-        # the sigma bound, so the solver drops a part, solves the remainder
-        # and reattaches the two vertices; none may fall back to search.
+    def test_closure_alone_at_every_multipartite_shape(self):
+        # Chvatal's condition holds at the threshold whenever k >= 3 and
+        # n >= 2 (see _solve_multi), so the all-pairs closure builds every
+        # seeded rand and hub graph at each such shape up to 64 vertices,
+        # with no SearchFallback and no other branch.
         rng = random.Random(2024)
-        part_drops = 0
-        for k in range(3, 13):
-            host = new_complete(k, 2)
-            for _ in range(40):
-                low = rng.randrange(2 * k)
-                high = rng.choice([w for w in range(2 * k) if w // 2 != low // 2])
-                pair = (min(low, high), max(low, high))
-                at_pair = [e for e in host.edges() if e != pair and set(e) & {low, high}]
-                g, _ = remove_edges(host, [pair] + rng.sample(at_pair, 2 * k - 5))
-                r = solve(g)
-                validate_hamilton_cycle(g.adj, r.cycle)
-                assert "SearchFallback" not in r.trace
-                assert r.trace[0] == "BaseN2"
-                part_drops += r.trace != ("BaseN2", "LemmaClosure")
-        assert part_drops == 360
+        shapes = 0
+        for n in range(2, 22):
+            want = ("BaseN2", "LemmaClosure") if n == 2 else ("LemmaClosure",)
+            for k in range(3, 64 // n + 1):
+                rand = random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
+                for g in (rand, _hub_instance(k, n, rng)):
+                    r = solve(g)
+                    validate_hamilton_cycle(g.adj, r.cycle)
+                    assert r.trace == want
+                shapes += 1
+        assert shapes == 122
 
     def test_deterministic(self):
         g, _ = remove_edges(new_complete(4, 3), [(0, 3), (1, 4), (2, 11), (5, 9)])
@@ -644,16 +641,16 @@ class TestSolveTheorem11:
         assert solve_theorem11(new_complete(2, 1)).failure == "TooSmall"
 
     def test_reroute_failure_falls_back(self, caplog):
-        # The sigma pair is (5, 6), so (4, 7) is the only admissible virtual
+        # The sigma pair is (4, 7), so (5, 8) is the only admissible virtual
         # edge. The augmented cycle uses it, and the path left by dropping it
         # has no crossing pair in the original graph.
         caplog.set_level(logging.INFO, logger="kpham.constructive")
         g, _ = remove_edges(
-            new_complete(3, 3), [(4, 6), (4, 7), (5, 6), (5, 7), (5, 8)]
+            new_complete(3, 3), [(4, 6), (4, 7), (4, 8), (5, 7), (5, 8)]
         )
         assert solve_theorem11(g).serialize() == (
-            "cycle 0 5 1 4 8 2 6 3 7\n"
-            "trace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch,SearchFallback\n"
+            "cycle 0 4 1 5 6 2 7 3 8\n"
+            "trace T11AddEdge,LemmaClosure,SearchFallback\n"
         )
         records = [r for r in caplog.records if r.name == "kpham.constructive"]
         assert [r.levelno for r in records] == [logging.INFO]
@@ -678,7 +675,7 @@ class TestSolveTheorem11:
     def test_one_short_3x3_gap_sample(self, monkeypatch):
         # A seeded fifth of the one-edge-short (3,3) graphs with minimum
         # degree 2, with each gap reason pinned (over all 80 676 of them the
-        # reroute gap is 93).
+        # reroute gap is 66).
         gaps = Counter()
         finish = constructive._finish_with_search
 
@@ -702,8 +699,7 @@ class TestSolveTheorem11:
         assert (graphs, second_edge) == (16072, 15)
         assert gaps == {
             "every missing edge touches the pair": 959,
-            "remainder solve failed: HypothesisNotMet": 44,
-            "virtual-edge reroute found no crossing": 14,
+            "virtual-edge reroute found no crossing": 20,
         }
 
     def test_all_one_short_min_degree_two_agree_with_oracle(self):
@@ -819,6 +815,70 @@ class TestN2DegreeSumFacts:
         assert failures == bound_failures
 
 
+# ---- Chvatal's condition at the threshold ----------------------------------
+#
+# _solve_multi relies on every k >= 3, n >= 2 threshold graph meeting
+# Chvatal's degree-sequence condition, which makes its all-pairs closure at
+# bound N complete. Adding edges keeps the condition, so the full deletion
+# budget (k-1)n-2 is the hardest case. Degrees are computed here from the
+# deleted edges, not through the solver.
+
+
+def _chvatal(degrees) -> tuple[bool, bool]:
+    """(whether the sorted degrees d_1 <= ... <= d_N meet Chvatal's
+    condition, whether some i < N/2 has d_i <= i so that it says more than
+    the vacuous case)."""
+    d = sorted(degrees)
+    count = len(d)
+    low = [i for i in range(1, (count + 1) // 2) if d[i - 1] <= i]
+    return all(d[count - i - 1] >= count - i for i in low), bool(low)
+
+
+def _threshold_degrees(k: int, n: int, dropped) -> list[int]:
+    deg = [(k - 1) * n] * (k * n)
+    for u, v in dropped:
+        deg[u] -= 1
+        deg[v] -= 1
+    return deg
+
+
+@st.composite
+def _hub_deletion_sets(draw):
+    """(k, n, deletion set) for k >= 3, n >= 2 and kn <= 64: the whole
+    budget (k-1)n-2, spent on edges at 1-8 hub vertices."""
+    n = draw(st.integers(2, 21))
+    k = draw(st.integers(3, 64 // n))
+    hubs = draw(st.sets(st.integers(0, k * n - 1), min_size=1, max_size=8))
+    pool = [e for e in host_edges(k, n) if hubs & set(e)]
+    size = (k - 1) * n - 2
+    drop = st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)
+    return k, n, draw(drop)
+
+
+class TestChvatalAtThreshold:
+    @pytest.mark.parametrize(
+        ("k", "n", "sets", "non_vacuous"), [(3, 2, 66, 0), (3, 3, 17550, 108), (4, 2, 10626, 0)]
+    )
+    def test_every_full_budget_deletion_set(self, k, n, sets, non_vacuous):
+        # Only (3,3) has an i < N/2 with d_i <= i: i = 4, four vertices of
+        # degree 4 that hold every missing edge, so d_5 = 6 >= 5.
+        checked = tight = 0
+        for dropped in combinations(host_edges(k, n), (k - 1) * n - 2):
+            holds, used = _chvatal(_threshold_degrees(k, n, dropped))
+            assert holds, dropped
+            checked += 1
+            tight += used
+        assert (checked, tight) == (sets, non_vacuous)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_hub_deletion_sets())
+    def test_hub_deletions_close(self, case):
+        k, n, dropped = case
+        assert _chvatal(_threshold_degrees(k, n, dropped))[0]
+        g, _ = remove_edges(new_complete(k, n), dropped)
+        validate_hamilton_cycle(g.adj, _complete_closure(g.adj, g.n))
+
+
 # ---- degree floors of the peel at n >= 3 ----------------------------------
 #
 # The peel checks no degree floor at run time. With at most (k-1)n-2 cross
@@ -898,11 +958,9 @@ class TestPeelDegreeFloors:
 #
 # Byte-for-byte pins of solve(), solve_theorem11() and evaluate() on a seeded
 # instance set that reaches every route: BaseN1/OreRotation, BaseK2, the
-# BaseN2 closure, the BaseN2 part-removal induction (the consecutive-
-# neighbour insert with and without a crossing pair, and the reroute),
-# Case1 with MatchStitch, Case2 (including a SearchFallback), and Theorem 11
-# with the virtual edge unused and rerouted. Any refactor of the solver must
-# keep these strings exactly.
+# multipartite closure with and without BaseN2 (rand and hub graphs, sigma
+# below N included), and Theorem 11 with the virtual edge unused, rerouted
+# and searched. Any refactor of the solver must keep these strings exactly.
 
 GOLDEN_SHAPES = (
     (3, 1), (5, 1), (8, 1), (2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (5, 2),
@@ -958,41 +1016,39 @@ GOLDEN_LITERALS = [
     ),
     (
         5, 2, [(2, 6), (4, 6), (5, 8), (6, 8), (6, 9), (7, 8)],
-        'cycle 0 7 2 4 8 1 6 3 5 9\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
-        'cycle 0 7 2 4 8 1 6 3 5 9\ntrace T11AddEdge,BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 2 9 7 5 3 4 8 1 6\ntrace BaseN2,LemmaClosure\n',
+        'cycle 0 2 9 7 5 3 4 8 1 6\ntrace T11AddEdge,BaseN2,LemmaClosure\n',
     ),
     (
-        # sigma pair (2, 4) is reordered so the lower-degree vertex 4 leads
-        # and its part is the one dropped
+        # the sigma pair (2, 4) sums to 9 < N, below the all-pairs bound
         5, 2, [(0, 2), (0, 4), (2, 4), (2, 6), (4, 7), (4, 9)],
-        'cycle 0 5 6 4 1 3 7 9 2 8\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 6 4 3 5 7 9 2 1 8\ntrace BaseN2,LemmaClosure\n',
         'cycle 0 8 5 3 7 2 1 4 6 9\ntrace T11AddEdge,SearchFallback\n',
     ),
     (
         3, 3, [(0, 4), (0, 6), (0, 8), (1, 8)],
-        'cycle 0 3 2 6 1 4 8 5 7\ntrace Case1,BaseN2,LemmaClosure,MatchStitch\n',
-        'cycle 0 3 2 8 4 1 6 5 7\ntrace T11AddEdge,Case1,BaseN2,LemmaClosure,MatchStitch,LemmaClosure\n',
+        'cycle 0 3 8 2 7 4 1 6 5\ntrace LemmaClosure\n',
+        'cycle 0 3 8 2 7 4 1 6 5\ntrace T11AddEdge,LemmaClosure\n',
     ),
     (
         3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)],
-        'cycle 0 6 5 1 3 2 7 4 8\ntrace Case2,SearchFallback\n',
-        'cycle 0 6 5 1 3 2 7 4 8\ntrace T11AddEdge,Case2,SearchFallback\n',
+        'cycle 0 6 1 4 2 3 7 5 8\ntrace LemmaClosure\n',
+        'cycle 0 6 1 4 2 3 7 5 8\ntrace T11AddEdge,LemmaClosure\n',
     ),
     (
         4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
         'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace LemmaClosure\n',
-        'cycle 0 9 4 6 2 11 8 5 1 7 3 10\ntrace T11AddEdge,Case2,BaseN1,OreRotation,MatchStitch\n',
+        'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace T11AddEdge,LemmaClosure,LemmaClosure\n',
     ),
     (
-        # the part-drop cannot insert vertex 8 between two consecutive
-        # neighbours, so it reroutes and closes through a crossing pair
+        # vertex 8 keeps only 3 neighbours, none of them in part 0
         5, 2, [(0, 8), (1, 8), (1, 9), (4, 8), (5, 8), (7, 8)],
-        'cycle 0 2 8 3 1 6 4 9 5 7\ntrace BaseN2,BaseN2,LemmaClosure,LemmaClosure\n',
+        'cycle 0 2 4 6 8 3 1 5 7 9\ntrace BaseN2,LemmaClosure\n',
         'cycle 0 2 1 4 7 5 9 3 8 6\ntrace T11AddEdge,SearchFallback\n',
     ),
 ]
 
-GOLDEN_BATCH_SHA256 = "901fca98f250637eff9f1dfbe7f84b6a68ddd2fc5841adbd841c58fb963e606e"
+GOLDEN_BATCH_SHA256 = "a45397cc9a17732a4cebec1cf35a417774fac813e547feb127f76cc34cff112a"
 
 
 class TestGolden:
@@ -1011,19 +1067,24 @@ class TestGolden:
             digest.update(result.serialize().encode())
             digest.update(solve_theorem11(_one_short(g)).serialize().encode())
             digest.update((evaluate(g).as_record() + "\n").encode())
-        assert tags == TRACE_TAGS - {"T11AddEdge", "SearchFallback"}
+        assert tags == TRACE_TAGS - {
+            "T11AddEdge", "SearchFallback", "Case1", "Case2", "MatchStitch"
+        }
         assert digest.hexdigest() == GOLDEN_BATCH_SHA256
 
     def test_gap_log(self, caplog):
+        # A theorem-11 search logs its reason and the instance once at INFO;
+        # solve() at the threshold, here on a graph that once fell back to
+        # search, logs nothing.
         caplog.set_level(logging.INFO, logger="kpham.constructive")
-        g, _ = remove_edges(new_complete(3, 3), [(0, 3), (0, 4), (0, 5), (2, 5)])
-        solve(g)
+        solve_theorem11(from_edge_list(3, 2, STUBBORN_32_EDGES))
         records = [r for r in caplog.records if r.name == "kpham.constructive"]
         assert [r.levelno for r in records] == [logging.INFO]
-        assert records[0].getMessage().startswith(
-            "constructive gap: remainder solve failed: HypothesisNotMet [k=3 n=3"
+        assert records[0].getMessage() == (
+            "constructive gap: every missing edge touches the pair [k=3 n=2 m=9"
+            " edges=0-4;0-5;1-3;1-4;1-5;2-4;2-5;3-4;3-5]"
         )
         caplog.clear()
-        g, _ = remove_edges(new_complete(3, 3), [(0, 4), (0, 6), (0, 8), (1, 8)])
+        g, _ = remove_edges(new_complete(3, 3), [(0, 3), (0, 4), (0, 5), (2, 5)])
         solve(g)
         assert not [r for r in caplog.records if r.name == "kpham.constructive"]
