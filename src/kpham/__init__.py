@@ -17,13 +17,10 @@ from .conditions import (
 )
 from .constructive import (
     SolveResult,
-    build_transversal_path,
-    build_two_disjoint_transversal_paths,
     close_hamilton_path,
     ore_build_cycle,
     solve,
     solve_theorem11,
-    stitch_matching,
 )
 from .errors import (
     BudgetExceeded,
@@ -34,7 +31,6 @@ from .errors import (
     InvalidGraph,
     InvalidPath,
     KphamError,
-    StitchFailed,
     TooLarge,
     TooSmall,
 )
@@ -93,12 +89,9 @@ __all__ = [
     "OracleAnswer",
     "SIGMA_INFINITY",
     "SolveResult",
-    "StitchFailed",
     "TooLarge",
     "TooSmall",
     "add_edge",
-    "build_transversal_path",
-    "build_two_disjoint_transversal_paths",
     "canonical_cycle",
     "check_ore",
     "check_theorem2_edges",
@@ -122,7 +115,6 @@ __all__ = [
     "solve",
     "solve_theorem11",
     "stats",
-    "stitch_matching",
     "tight_non_hamiltonian",
     "validate_hamilton_cycle",
     "validate_hamilton_path",

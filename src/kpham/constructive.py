@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .conditions import check_ore, edge_threshold
-from .errors import (
-    ConstructionFailed, HypothesisNotMet, InvalidCycle, StitchFailed, TooSmall
-)
+from .errors import ConstructionFailed, HypothesisNotMet, TooSmall
 from .graph import KPartiteGraph, add_edge, bits, complement, part_masks, stats
-from .paths import canonical_cycle, validate_hamilton_path, validate_path
+from .paths import canonical_cycle, validate_hamilton_path
 
 logger = logging.getLogger(__name__)
 
@@ -41,10 +39,7 @@ logger = logging.getLogger(__name__)
 BASE_N1 = "BaseN1"
 BASE_K2 = "BaseK2"
 BASE_N2 = "BaseN2"
-CASE_1 = "Case1"
-CASE_2 = "Case2"
 LEMMA_CLOSURE = "LemmaClosure"
-MATCH_STITCH = "MatchStitch"
 ORE_ROTATION = "OreRotation"
 T11_ADD_EDGE = "T11AddEdge"
 SEARCH_FALLBACK = "SearchFallback"
@@ -54,10 +49,7 @@ TRACE_TAGS = frozenset(
         BASE_N1,
         BASE_K2,
         BASE_N2,
-        CASE_1,
-        CASE_2,
         LEMMA_CLOSURE,
-        MATCH_STITCH,
         ORE_ROTATION,
         T11_ADD_EDGE,
         SEARCH_FALLBACK,
@@ -288,170 +280,6 @@ def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
 
 
 # =====================================================================
-# transversal path builders
-# =====================================================================
-
-
-def build_transversal_path(
-    g: KPartiteGraph, anchor: int, forbidden: int
-) -> tuple[int, ...]:
-    """One vertex per part, anchor in second position, forbidden avoided.
-
-    The anchor's neighborhood must meet at least two parts (HypothesisNotMet
-    otherwise; the two-path construction handles the single-part shape).
-    When the anchor has a neighbor in the forbidden vertex's part, that part
-    contributes the leading end; otherwise the path finishes in that part
-    with some vertex other than the forbidden one. Remaining parts are
-    visited in ascending index order, always taking the lowest-id admissible
-    neighbor, and a dead end raises ConstructionFailed.
-    """
-    _check_ids(g, anchor, forbidden)
-    k, n = g.k, g.n
-    p_anchor = anchor // n
-    p_forb = forbidden // n
-    if p_anchor == p_forb:
-        raise HypothesisNotMet("anchor and forbidden vertex share a part")
-    blocks = part_masks(k, n)
-    nbr = g.adj[anchor] & ~(1 << forbidden)
-    nbr_parts = {w // n for w in bits(nbr)}
-    if len(nbr_parts) < 2:
-        raise HypothesisNotMet("anchor's neighborhood meets fewer than 2 parts")
-
-    lead = p_forb if p_forb in nbr_parts else next(bits(nbr)) // n
-    first = next(bits(nbr & blocks[lead]))
-    third = next(bits(nbr & ~blocks[lead]))
-    tail_parts = sorted(set(range(k)) - {p_anchor, lead, third // n, p_forb})
-    if lead != p_forb:
-        tail_parts.append(p_forb)
-
-    path = [first, anchor, third]
-    used = (1 << first) | (1 << anchor) | (1 << third) | (1 << forbidden)
-    _walk(g, path, tail_parts, used)
-    return tuple(path)
-
-
-def build_two_disjoint_transversal_paths(
-    g: KPartiteGraph, anchor: int, forbidden: int | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two transversal paths sharing only the anchor, for the shape where
-    the anchor's whole neighborhood sits in one part.
-
-    The first path covers one vertex per part starting at the anchor; the
-    second covers a disjoint vertex per part and returns to the anchor's
-    part, ending at a second vertex there. Together they cover exactly two
-    vertices of every part. When k == 3 and the forbidden vertex's part is
-    the final stop of the first path, the forbidden vertex is excluded from
-    that end position. Raises HypothesisNotMet when the anchor sees two or
-    more parts and ConstructionFailed on a greedy dead end.
-    """
-    _check_ids(g, anchor, forbidden)
-    k, n = g.k, g.n
-    nbr = g.adj[anchor]
-    if not nbr:
-        raise ConstructionFailed("anchor has no neighbors")
-    nbr_parts = {w // n for w in bits(nbr)}
-    if len(nbr_parts) != 1:
-        raise HypothesisNotMet(
-            "anchor has neighbors in several parts; single-part construction"
-            " does not apply"
-        )
-    p_anchor = anchor // n
-    q = next(iter(nbr_parts))
-    p_forb = forbidden // n if forbidden is not None else None
-    if p_forb is None or p_forb in (q, p_anchor):
-        order = [q] + sorted(set(range(k)) - {p_anchor, q})
-    else:
-        order = [q, p_forb] + sorted(set(range(k)) - {p_anchor, q, p_forb})
-    # The forbidden vertex is kept off the first path's last stop only; the
-    # second path may take it.
-    ban = 1 << forbidden if order[-1] == p_forb else 0
-    first, second = [anchor], [anchor]
-    used = _walk(g, first, order[:-1], 1 << anchor)
-    used = _walk(g, first, order[-1:], used | ban) & ~ban
-    # The second path hops back to the anchor's part to pick up its twin end.
-    _walk(g, second, order + [p_anchor], used)
-    return tuple(first), tuple(second)
-
-
-def _check_ids(g: KPartiteGraph, *ids: int | None) -> None:
-    """Raise HypothesisNotMet naming the first id (not None) outside g."""
-    for v in ids:
-        if v is not None and not 0 <= v < g.num_vertices:
-            raise HypothesisNotMet(f"vertex {v} is not in 0..{g.num_vertices - 1}")
-
-
-def _walk(g: KPartiteGraph, path: list[int], parts: Iterable[int], used: int) -> int:
-    """Extend path by one vertex in each of parts, in order, always taking
-    the lowest-id neighbor of the current end that lies in the part and
-    outside used. Returns used with the new vertices added; a dead end
-    raises ConstructionFailed naming the part and the stuck vertex."""
-    blocks = part_masks(g.k, g.n)
-    for part in parts:
-        cand = g.adj[path[-1]] & blocks[part] & ~used
-        if not cand:
-            raise ConstructionFailed(
-                f"no admissible part-{part} neighbor after vertex {path[-1]}"
-            )
-        nxt = next(bits(cand))
-        path.append(nxt)
-        used |= 1 << nxt
-    return used
-
-
-def stitch_matching(
-    g: KPartiteGraph,
-    path: Sequence[int],
-    cycle: Sequence[int],
-    avoid: int,
-) -> tuple[int, ...]:
-    """Join a path and a disjoint cycle into one Hamilton cycle of g.
-
-    The cycle is rotated so the avoided vertex (when present) sits outside
-    the matching, the matching takes alternate cycle edges from the front,
-    and the first matching edge adjacent to both path ends splices the two
-    pieces: path-end-a .. path-end-b - y - around the cycle - x - back to a.
-    Raises StitchFailed when no matching edge qualifies.
-    """
-    rows = g.adj
-    pseq = list(path)
-    cseq = tuple(cycle)
-    validate_path(rows, pseq)
-    pset = set(pseq)
-    cset = set(cseq)
-    if len(cset) != len(cseq):
-        raise InvalidCycle("repeated vertex in cycle")
-    if pset & cset:
-        raise InvalidCycle("path and cycle overlap")
-    if pset | cset != set(range(g.num_vertices)):
-        raise InvalidCycle("path and cycle must cover every vertex")
-    if len(cseq) < 3:
-        raise InvalidCycle("cycle too short")
-    for a, b in zip(cseq, cseq[1:] + cseq[:1]):
-        if not rows[a] >> b & 1:
-            raise InvalidCycle(f"missing cycle edge ({a}, {b})")
-
-    rot = cseq
-    if avoid in cset:
-        i = cseq.index(avoid)
-        rot = cseq[i + 1 :] + cseq[: i + 1]
-    length = len(rot)
-    pairs = (length - 1) // 2 if length % 2 else (length - 2) // 2
-    end_a, end_b = pseq[0], pseq[-1]
-    row_a, row_b = rows[end_a], rows[end_b]
-    for i in range(pairs):
-        x, y = rot[2 * i], rot[2 * i + 1]
-        if row_a >> x & 1 and row_b >> y & 1:
-            tail = [rot[(2 * i + 1 + s) % length] for s in range(length)]
-            return canonical_cycle(pseq + tail)
-        if row_a >> y & 1 and row_b >> x & 1:
-            tail = [rot[(2 * i - s) % length] for s in range(length)]
-            return canonical_cycle(pseq + tail)
-    raise StitchFailed(
-        f"no matching edge of the cycle joins path ends {end_a} and {end_b}"
-    )
-
-
-# =====================================================================
 # solve dispatch
 # =====================================================================
 
@@ -505,105 +333,6 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     cyc = _complete_closure(g.adj, g.n)
     trace.append(LEMMA_CLOSURE)
     return cyc
-
-
-def _peel(
-    g: KPartiteGraph, anchor: int, avoid: int, trace: list[str]
-) -> tuple[int, ...]:
-    """k >= 3, n >= 3, sigma bound failed at the pair (anchor, avoid).
-
-    Case 1, the anchor's neighborhood meets two or more parts: peel one
-    transversal path through the anchor. Case 2, it sits in one part: peel
-    two disjoint transversal paths sharing the anchor and join them into
-    one walk. Then solve the (n-1)- or (n-2)-balanced remainder and stitch
-    the walk to its cycle along a matching edge.
-
-    No degree floor is checked: with the sigma bound failed, at most n-2
-    missing edges avoid the pair (Case 1) or the anchor (Case 2), so every
-    other vertex keeps (k-2)n, resp. (k-2)n+1, neighbors in the rest.
-    """
-    if len({w // g.n for w in bits(g.adj[anchor])}) >= 2:
-        trace.append(CASE_1)
-        walk = build_transversal_path(g, anchor, avoid)
-        rest = g.n - 1
-    else:
-        trace.append(CASE_2)
-        one, two = build_two_disjoint_transversal_paths(g, anchor, avoid)
-        walk = two[::-1] + one[1:]
-        rest = g.n - 2
-    cyc = _solve_remainder(g, walk, g.k, rest, trace)
-    full = stitch_matching(g, walk, cyc, avoid)
-    trace.append(MATCH_STITCH)
-    return full
-
-
-def _solve_remainder(
-    g: KPartiteGraph, drop: Iterable[int], k: int, n: int, trace: list[str]
-) -> list[int]:
-    """Solve the subgraph induced on the vertices outside drop, relabelled
-    in ascending order as an n-balanced k-partite graph; append its trace
-    and return its cycle in g's ids.
-
-    Every part must keep n vertices or none, so the relabelled parts line up
-    with the original ones.
-    """
-    mask = 0
-    for v in drop:
-        mask |= 1 << v
-    if any((block & ~mask).bit_count() not in (0, n) for block in part_masks(g.k, g.n)):
-        raise ConstructionFailed("vertex removal would unbalance the parts")
-    keep = [v for v in range(g.num_vertices) if not mask >> v & 1]
-    gaps = sorted(bits(mask), reverse=True)
-    rows = []
-    for v in keep:
-        row = g.adj[v]
-        for d in gaps:
-            below = (1 << d) - 1
-            row = row & below | row >> 1 & ~below
-        rows.append(row)
-    result = solve(KPartiteGraph(k, n, tuple(rows)))
-    trace.extend(result.trace)
-    if result.cycle is None:
-        raise ConstructionFailed(f"remainder solve failed: {result.failure}")
-    return [keep[i] for i in result.cycle]
-
-
-def _attach_pair_and_close(
-    g: KPartiteGraph, cyc: list[int], low: int, twin: int
-) -> tuple[int, ...]:
-    """Extend cyc (every vertex but low and its twin) to a Hamilton cycle.
-    Each path closed here ends at the twin and some w != low, nonadjacent
-    only when w is high, and deg(twin) + deg(high) >= (2k-3) + k >= N, so
-    the first path of either shape closes."""
-    rows = g.adj
-    length = len(cyc)
-    pos = {v: i for i, v in enumerate(cyc)}
-    nbr_pos = sorted(pos[w] for w in bits(rows[low]))
-
-    # Preferred shape: two neighbors consecutive on the cycle. Insert low
-    # between them, then break the cycle edge (z, other) at the twin's
-    # lowest neighbor z, other != low, and close the path from the twin.
-    for i in nbr_pos:
-        if rows[low] >> cyc[(i + 1) % length] & 1:
-            bigger = cyc[: i + 1] + [low] + cyc[i + 1 :]
-            z = next(bits(rows[twin]))
-            at = bigger.index(z)
-            other = bigger[(at + 1) % len(bigger)]
-            if other == low:
-                other = bigger[at - 1]
-            return canonical_cycle(_close(rows, [twin] + _open_at(bigger, z, other)))
-
-    # Otherwise reroute: for the first neighbors u = cyc[i], v = cyc[j] of
-    # low with twin adjacent to v's successor, walk successor..u, insert
-    # low, walk v back down to u's successor, and close the path.
-    for i in nbr_pos:
-        for j in nbr_pos:
-            if i != j and rows[twin] >> cyc[(j + 1) % length] & 1:
-                ring = cyc[j + 1 :] + cyc[: j + 1]
-                cut = (i - j) % length
-                pathway = [twin] + ring[:cut] + [low] + ring[cut:][::-1]
-                return canonical_cycle(_close(rows, pathway))
-    raise ConstructionFailed("could not reattach the dropped part")
 
 
 def solve(g: KPartiteGraph) -> SolveResult:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
 from typing import Iterable, Iterator
 
 from .errors import InvalidGraph, TooLarge
@@ -181,10 +180,6 @@ class KPartiteGraph:
             for v in bits(row >> (u + 1)):
                 out.append((u, u + 1 + v))
         return out
-
-    def host_edge_count(self) -> int:
-        """Edge count of the complete version on the same parts."""
-        return comb(self.k, 2) * self.n * self.n
 
 
 # ---- constructors and derived graphs ------------------------------------

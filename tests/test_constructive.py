@@ -1,7 +1,7 @@
 """Tests for the constructive solver.
 
-The solver pieces each have a narrow contract (close a path, grow a
-transversal, stitch a matching); these are exercised directly. solve()
+The solver pieces each have a narrow contract (close a path, run the
+degree-sum closure); these are exercised directly. solve()
 itself is checked against the brute-force oracle on everything small
 enough, plus determinism and trace-vocabulary invariants.
 """
@@ -24,13 +24,9 @@ from conftest import all_subsets_of_size, host_edges, partite_graphs, perm_hamil
 from kpham import (
     ConstructionFailed,
     HypothesisNotMet,
-    InvalidCycle,
     InvalidPath,
     SolveResult,
-    StitchFailed,
     TooSmall,
-    build_transversal_path,
-    build_two_disjoint_transversal_paths,
     canonical_cycle,
     check_ore,
     close_hamilton_path,
@@ -44,7 +40,6 @@ from kpham import (
     remove_edges,
     solve,
     solve_theorem11,
-    stitch_matching,
     tight_non_hamiltonian,
     validate_hamilton_cycle,
 )
@@ -157,171 +152,6 @@ class TestOreRotation:
             above = [full ^ ((2 << u) - 1) for u in range(nv)]
             assert cyc == _restart_closure_cycle(rows, above, nv, range(nv))
             built += 1
-
-
-class TestTransversalPath:
-    def test_shape_on_complete(self):
-        g = new_complete(4, 2)
-        path = build_transversal_path(g, anchor=2, forbidden=0)
-        assert len(path) == 4
-        assert path[1] == 2
-        assert 0 not in path
-        assert sorted(v // 2 for v in path) == [0, 1, 2, 3]
-        for a, b in zip(path, path[1:]):
-            assert g.adjacent(a, b)
-
-    def test_leads_into_forbidden_part_when_possible(self):
-        g = new_complete(3, 2)
-        path = build_transversal_path(g, anchor=2, forbidden=0)
-        # anchor 2 sees part 0, so the path starts there with vertex 1
-        assert path[0] == 1
-
-    def test_finishes_in_forbidden_part_otherwise(self):
-        # anchor 2 loses all of part 0 but still sees parts 2 and 3, so the
-        # walk must end inside part 0 at the non-forbidden vertex
-        g, _ = remove_edges(new_complete(4, 2), [(0, 2), (1, 2)])
-        path = build_transversal_path(g, anchor=2, forbidden=0)
-        assert path[-1] == 1
-        assert path[1] == 2
-
-    def test_same_part_rejected(self):
-        g = new_complete(3, 2)
-        with pytest.raises(HypothesisNotMet, match="share a part"):
-            build_transversal_path(g, anchor=2, forbidden=3)
-
-    def test_single_part_neighborhood_rejected(self):
-        g, _ = remove_edges(new_complete(3, 2), [(2, 4), (2, 5)])
-        with pytest.raises(HypothesisNotMet, match="fewer than 2 parts"):
-            build_transversal_path(g, anchor=2, forbidden=4)
-
-    @pytest.mark.parametrize(
-        ("drop", "fragment"),
-        [
-            # leads with 1, then 4; vertex 4 has no part-3 neighbor left
-            ([(4, 6), (4, 7)], "part-3 neighbor after vertex 4"),
-            # no lead into part 0, so 4, 2, 6 and then part 0, where 6
-            # still sees the forbidden vertex 0 but not 1
-            ([(0, 2), (1, 2), (1, 6)], "part-0 neighbor after vertex 6"),
-        ],
-    )
-    def test_dead_end_names_part_and_vertex(self, drop, fragment):
-        g, _ = remove_edges(new_complete(4, 2), drop)
-        with pytest.raises(ConstructionFailed, match=fragment):
-            build_transversal_path(g, anchor=2, forbidden=0)
-
-
-class TestTwoPaths:
-    def _concentrated(self):
-        # vertex 0's neighborhood squeezed into part 1
-        g, _ = remove_edges(new_complete(3, 3), [(0, 6), (0, 7), (0, 8)])
-        return g
-
-    def test_shapes(self):
-        g = self._concentrated()
-        one, two = build_two_disjoint_transversal_paths(g, anchor=0)
-        assert one[0] == 0 and two[0] == 0
-        assert len(one) == 3 and len(two) == 4
-        assert two[-1] // 3 == 0 and two[-1] != 0
-        assert set(one) & set(two) == {0}
-        for seq in (one, two):
-            for a, b in zip(seq, seq[1:]):
-                assert g.adjacent(a, b)
-        # two vertices of every part used across both paths
-        combined = sorted(set(one) | set(two))
-        assert len(combined) == 6
-
-    def test_forbidden_end_respected(self):
-        g = self._concentrated()
-        one, _ = build_two_disjoint_transversal_paths(g, anchor=0, forbidden=6)
-        assert one[-1] // 3 == 2
-        assert one[-1] != 6
-
-    def test_forbidden_free_for_second_path_at_k3(self):
-        # 6 is kept off the first path's final stop only; the second path
-        # takes it as its lowest part-2 neighbor of 4
-        g = self._concentrated()
-        one, two = build_two_disjoint_transversal_paths(g, anchor=0, forbidden=6)
-        assert one == (0, 3, 7)
-        assert two == (0, 4, 6, 1)
-
-    def test_forbidden_taken_as_inner_stop_at_k4(self):
-        # anchor 0 sees only part 1; the forbidden part 2 is the second of
-        # three stops, so its lowest vertex 4 is taken
-        g, _ = remove_edges(new_complete(4, 2), [(0, 4), (0, 5), (0, 6), (0, 7)])
-        one, two = build_two_disjoint_transversal_paths(g, anchor=0, forbidden=4)
-        assert one == (0, 2, 4, 6)
-        assert two == (0, 3, 5, 7, 1)
-
-    @pytest.mark.parametrize(
-        ("drop", "fragment"),
-        [
-            # first path: 0, 2 and then no part-2 neighbor of 2
-            ([(2, 4), (2, 5)], r"part-2 neighbor after vertex 2$"),
-            # second path: 0, 3 and then no unused part-2 neighbor of 3
-            ([(3, 5)], r"part-2 neighbor after vertex 3$"),
-            # twin end: 0, 3, 5 and then no unused part-0 vertex next to 5
-            ([(1, 5)], r"part-0 .*after vertex 5$"),
-        ],
-    )
-    def test_dead_end_names_part_and_vertex(self, drop, fragment):
-        g, _ = remove_edges(new_complete(3, 2), [(0, 4), (0, 5), *drop])
-        with pytest.raises(ConstructionFailed, match=fragment):
-            build_two_disjoint_transversal_paths(g, anchor=0)
-
-    def test_spread_anchor_rejected(self):
-        g = new_complete(3, 2)
-        with pytest.raises(HypothesisNotMet, match="several parts"):
-            build_two_disjoint_transversal_paths(g, anchor=0)
-
-
-@pytest.mark.parametrize(
-    "builder", [build_transversal_path, build_two_disjoint_transversal_paths]
-)
-@pytest.mark.parametrize(
-    ("drop", "anchor", "forbidden", "bad"),
-    [
-        ([], -1, 3, -1),
-        ([], 6, 3, 6),
-        ([], 0, -1, -1),
-        ([], 0, 6, 6),
-        # g.adj[-5] is vertex 1's row: reject the id before reading any row
-        ([(0, 4), (0, 5)], -5, 2, -5),
-    ],
-)
-def test_transversal_builders_reject_unknown_ids(builder, drop, anchor, forbidden, bad):
-    g, _ = remove_edges(new_complete(3, 2), drop)
-    with pytest.raises(HypothesisNotMet, match=rf"^vertex {bad} is not in 0\.\.5$"):
-        builder(g, anchor, forbidden)
-
-
-class TestStitch:
-    def test_basic_join(self):
-        g = new_complete(3, 2)
-        cyc = stitch_matching(g, path=[0, 2, 4], cycle=[1, 3, 5], avoid=0)
-        validate_hamilton_cycle(g.adj, cyc)
-
-    def test_rejects_overlap(self):
-        g = new_complete(3, 2)
-        with pytest.raises(InvalidCycle, match="overlap"):
-            stitch_matching(g, [0, 2, 4], [4, 1, 3], avoid=0)
-
-    def test_rejects_partial_cover(self):
-        g = new_complete(3, 2)
-        with pytest.raises(InvalidCycle, match="cover"):
-            stitch_matching(g, [0, 2], [1, 3, 5], avoid=0)
-
-    def test_rejects_fake_cycle_edge(self):
-        g, _ = remove_edges(new_complete(3, 2), [(1, 3)])
-        with pytest.raises(InvalidCycle, match="missing cycle edge"):
-            stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
-
-    def test_stitch_failed_when_ends_blind(self):
-        # the odd cycle (1, 3, 5) offers one matching edge, (1, 3); end 0
-        # never reaches 1 (same part) and loses (0, 3), so both
-        # orientations die
-        g, _ = remove_edges(new_complete(3, 2), [(0, 3)])
-        with pytest.raises(StitchFailed, match="path ends 0 and 4"):
-            stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
 
 
 def _restart_closure_cycle(adj, cand, bound, start, joins=None):
@@ -728,16 +558,16 @@ class TestSolveTheorem11:
 
 # ---- degree-sum facts at n = 2 -------------------------------------------
 #
-# The n = 2 route checks none of these at run time. With at most 2k-4 cross
-# edges missing, every nonadjacent cross pair sums to at least 2k-1. Where
-# the sigma bound fails the minimum is exactly 2k-1, every missing edge
-# touches each pair attaining it, and dropping the part of the pair's
-# lower-degree vertex leaves a (k-1)-part remainder at its threshold. Where
-# the bound holds and k != 4, every nonadjacent pair, twins included, sums
-# to at least N, so the all-pairs closure completes. Where it fails, the
-# twin of the dropped vertex and the other pair vertex sum to at least N, so
-# the reattachment needs no end-degree check. Everything is computed here
-# from the definitions, not through the solver.
+# With at most 2k-4 cross edges missing, every nonadjacent cross pair sums to
+# at least 2k-1. Where the sigma bound fails the minimum is exactly 2k-1,
+# every missing edge touches each pair attaining it, and dropping the part of
+# the pair's lower-degree vertex leaves a (k-1)-part remainder at its
+# threshold; the twin of the dropped vertex and the other pair vertex sum to
+# at least N. Where the bound holds and k != 4, every nonadjacent pair, twins
+# included, sums to at least N. The solver relies on none of this, since its
+# closure rests on Chvatal's condition (TestChvatalAtThreshold); the facts
+# stay as an independent check of what the sigma bound admits at n = 2.
+# Everything is computed here from the definitions, not through the solver.
 
 
 def _check_n2_facts(k: int, dropped) -> bool:
@@ -879,81 +709,6 @@ class TestChvatalAtThreshold:
         validate_hamilton_cycle(g.adj, _complete_closure(g.adj, g.n))
 
 
-# ---- degree floors of the peel at n >= 3 ----------------------------------
-#
-# The peel checks no degree floor at run time. With at most (k-1)n-2 cross
-# edges missing and the sigma bound failed, sigma <= kn-1, so at least
-# (k-2)n missing edges touch the pair and at most n-2 avoid it: every other
-# vertex keeps (k-2)n neighbours outside the pair (Case 1). An anchor whose
-# neighbours sit in one part has degree <= n, so at most n-2 missing edges
-# avoid it: every other vertex keeps (k-2)n+1 neighbours besides it (Case 2).
-# Computed here from the definitions, for both orders of every pair
-# attaining sigma.
-
-
-def _check_peel_facts(k: int, n: int, dropped) -> bool:
-    """Assert the floors for the (k, n) host minus dropped; return whether
-    the sigma bound failed."""
-    count = k * n
-    missing = {(min(u, v), max(u, v)) for u, v in dropped}
-    assert len(missing) <= (k - 1) * n - 2
-    nbrs = [
-        {v for v in range(count) if u // n != v // n and (min(u, v), max(u, v)) not in missing}
-        for u in range(count)
-    ]
-    sums = {pair: len(nbrs[pair[0]]) + len(nbrs[pair[1]]) for pair in missing}
-    sigma = min(sums.values(), default=None)
-    bound = (k - (Fraction(2, k + 1) if k % 2 else Fraction(4, k + 2))) * n
-    if sigma is None or sigma > bound:
-        return False
-    assert sigma <= k * n - 1
-    for (u, v), total in sums.items():
-        if total != sigma:
-            continue
-        for anchor, avoid in ((u, v), (v, u)):
-            assert len(nbrs[anchor]) >= 2
-            if len({w // n for w in nbrs[anchor]}) >= 2:
-                drop, floor = {anchor, avoid}, (k - 2) * n
-            else:
-                drop, floor = {anchor}, (k - 2) * n + 1
-            for w in set(range(count)) - drop:
-                assert len(nbrs[w] - drop) >= floor
-    return True
-
-
-@st.composite
-def _peel_deletion_sets(draw):
-    """(k, n, deletion set) at n >= 3 within the budget (k-1)n-2. Half the
-    draws spend the whole budget at one or two vertices, often sparing the
-    edges into one part, so that the sigma bound fails in both cases."""
-    k = draw(st.integers(3, 6))
-    n = draw(st.integers(3, 5))
-    budget = (k - 1) * n - 2
-    pool = host_edges(k, n)
-    size = draw(st.integers(0, budget))
-    if draw(st.booleans()):
-        ends = draw(st.sets(st.integers(0, k * n - 1), min_size=1, max_size=2))
-        spared = draw(st.integers(0, k))  # k spares no part
-        pool = [
-            e for e in pool if any(a in ends and b // n != spared for a, b in (e, e[::-1]))
-        ]
-        size = min(budget, len(pool))
-    drop = st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)
-    return k, n, draw(drop)
-
-
-class TestPeelDegreeFloors:
-    @settings(max_examples=300, deadline=None)
-    @given(_peel_deletion_sets())
-    # both floors are attained: at vertex 9 in Case 1, at vertex 6 in Case 2
-    @example((5, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 3), (2, 3), (3, 6),
-                     (3, 7), (9, 12)]))
-    @example((3, 3, [(0, 3), (0, 4), (0, 5), (3, 6)]))
-    @example((3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)]))
-    def test_within_budget(self, case):
-        _check_peel_facts(*case)
-
-
 # ---- golden outputs ------------------------------------------------------
 #
 # Byte-for-byte pins of solve(), solve_theorem11() and evaluate() on a seeded
@@ -1067,15 +822,13 @@ class TestGolden:
             digest.update(result.serialize().encode())
             digest.update(solve_theorem11(_one_short(g)).serialize().encode())
             digest.update((evaluate(g).as_record() + "\n").encode())
-        assert tags == TRACE_TAGS - {
-            "T11AddEdge", "SearchFallback", "Case1", "Case2", "MatchStitch"
-        }
+        assert tags == TRACE_TAGS - {"T11AddEdge", "SearchFallback"}
         assert digest.hexdigest() == GOLDEN_BATCH_SHA256
 
     def test_gap_log(self, caplog):
         # A theorem-11 search logs its reason and the instance once at INFO;
-        # solve() at the threshold, here on a graph that once fell back to
-        # search, logs nothing.
+        # solve() at the threshold logs nothing, here on a graph whose vertex
+        # 0 sees only part 2.
         caplog.set_level(logging.INFO, logger="kpham.constructive")
         solve_theorem11(from_edge_list(3, 2, STUBBORN_32_EDGES))
         records = [r for r in caplog.records if r.name == "kpham.constructive"]

@@ -41,7 +41,6 @@ class TestConstruction:
             for n in range(1, 4):
                 g = new_complete(k, n)
                 assert g.edge_count == math.comb(k, 2) * n * n
-                assert g.host_edge_count() == g.edge_count
 
     def test_from_edge_list_collapses_duplicates(self):
         g = from_edge_list(2, 2, [(0, 2), (2, 0), (0, 2)])
@@ -267,7 +266,7 @@ class TestStats:
     @given(partite_graphs())
     def test_complement_splits_host(self, g: KPartiteGraph):
         co = complement(g)
-        assert g.edge_count + co.edge_count == g.host_edge_count()
+        assert g.edge_count + co.edge_count == new_complete(g.k, g.n).edge_count
         assert not set(g.edges()) & set(co.edges())
 
     @settings(max_examples=80, deadline=None)
