@@ -29,9 +29,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conditions import check_ore, edge_threshold
-from .errors import ConstructionFailed, HypothesisNotMet, TooSmall
+from .errors import (
+    ConstructionFailed, HypothesisNotMet, InvalidCycle, StitchFailed, TooSmall
+)
 from .graph import KPartiteGraph, add_edge, bits, complement, part_masks, stats
-from .paths import canonical_cycle, validate_hamilton_path
+from .paths import canonical_cycle, validate_hamilton_path, validate_path
 
 logger = logging.getLogger(__name__)
 
@@ -277,6 +279,65 @@ def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
     if not ok:
         raise HypothesisNotMet(f"degree-sum condition fails at pair {witness}")
     return _complete_closure(adj)
+
+
+# =====================================================================
+# path and cycle splice
+# =====================================================================
+
+
+def stitch_matching(
+    g: KPartiteGraph,
+    path: Sequence[int],
+    cycle: Sequence[int],
+    avoid: int,
+) -> tuple[int, ...]:
+    """Join a path and a disjoint cycle into one Hamilton cycle of g.
+
+    The cycle is rotated so the avoided vertex (when present) sits outside
+    the matching, the matching takes alternate cycle edges from the front,
+    and the first matching edge adjacent to both path ends splices the two
+    pieces: path-end-a .. path-end-b - y - around the cycle - x - back to a.
+    Raises StitchFailed when no matching edge qualifies. solve() does not
+    call it; it is a library step for joining pieces built elsewhere.
+    """
+    rows = g.adj
+    pseq = list(path)
+    cseq = tuple(cycle)
+    validate_path(rows, pseq)
+    pset = set(pseq)
+    cset = set(cseq)
+    if len(cset) != len(cseq):
+        raise InvalidCycle("repeated vertex in cycle")
+    if pset & cset:
+        raise InvalidCycle("path and cycle overlap")
+    if pset | cset != set(range(g.num_vertices)):
+        raise InvalidCycle("path and cycle must cover every vertex")
+    if len(cseq) < 3:
+        raise InvalidCycle("cycle too short")
+    for a, b in zip(cseq, cseq[1:] + cseq[:1]):
+        if not rows[a] >> b & 1:
+            raise InvalidCycle(f"missing cycle edge ({a}, {b})")
+
+    rot = cseq
+    if avoid in cset:
+        i = cseq.index(avoid)
+        rot = cseq[i + 1 :] + cseq[: i + 1]
+    length = len(rot)
+    pairs = (length - 1) // 2 if length % 2 else (length - 2) // 2
+    end_a, end_b = pseq[0], pseq[-1]
+    row_a, row_b = rows[end_a], rows[end_b]
+    for i in range(pairs):
+        x, y = rot[2 * i], rot[2 * i + 1]
+        if row_a >> x & 1 and row_b >> y & 1:
+            tail = [rot[(2 * i + 1 + s) % length] for s in range(length)]
+            return canonical_cycle(pseq + tail)
+        if row_a >> y & 1 and row_b >> x & 1:
+            tail = [rot[(2 * i - s) % length] for s in range(length)]
+            return canonical_cycle(pseq + tail)
+    raise StitchFailed(
+        f"no matching edge of the cycle joins path ends {end_a} and {end_b}"
+    )
 
 
 # =====================================================================

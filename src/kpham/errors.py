@@ -46,6 +46,10 @@ class ConstructionFailed(KphamError):
     """
 
 
+class StitchFailed(ConstructionFailed):
+    """No matching edge could join the path to the remainder cycle."""
+
+
 class BudgetExceeded(KphamError):
     """A fault-injection request removes more edges than the safe budget."""
 

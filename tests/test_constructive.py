@@ -1,7 +1,7 @@
 """Tests for the constructive solver.
 
 The solver pieces each have a narrow contract (close a path, run the
-degree-sum closure); these are exercised directly. solve()
+degree-sum closure, stitch a matching); these are exercised directly. solve()
 itself is checked against the brute-force oracle on everything small
 enough, plus determinism and trace-vocabulary invariants.
 """
@@ -24,8 +24,10 @@ from conftest import all_subsets_of_size, host_edges, partite_graphs, perm_hamil
 from kpham import (
     ConstructionFailed,
     HypothesisNotMet,
+    InvalidCycle,
     InvalidPath,
     SolveResult,
+    StitchFailed,
     TooSmall,
     canonical_cycle,
     check_ore,
@@ -40,10 +42,13 @@ from kpham import (
     remove_edges,
     solve,
     solve_theorem11,
+    stats,
+    stitch_matching,
     tight_non_hamiltonian,
     validate_hamilton_cycle,
 )
 from kpham import constructive
+from kpham.conditions import meets_sigma_bound
 from kpham.constructive import TRACE_TAGS, _closure_cycle, _complete_closure
 from kpham.graph import adjacency_from_edges
 from kpham.oracle import is_hamiltonian
@@ -152,6 +157,36 @@ class TestOreRotation:
             above = [full ^ ((2 << u) - 1) for u in range(nv)]
             assert cyc == _restart_closure_cycle(rows, above, nv, range(nv))
             built += 1
+
+
+class TestStitch:
+    def test_basic_join(self):
+        g = new_complete(3, 2)
+        cyc = stitch_matching(g, path=[0, 2, 4], cycle=[1, 3, 5], avoid=0)
+        validate_hamilton_cycle(g.adj, cyc)
+
+    def test_rejects_overlap(self):
+        g = new_complete(3, 2)
+        with pytest.raises(InvalidCycle, match="overlap"):
+            stitch_matching(g, [0, 2, 4], [4, 1, 3], avoid=0)
+
+    def test_rejects_partial_cover(self):
+        g = new_complete(3, 2)
+        with pytest.raises(InvalidCycle, match="cover"):
+            stitch_matching(g, [0, 2], [1, 3, 5], avoid=0)
+
+    def test_rejects_fake_cycle_edge(self):
+        g, _ = remove_edges(new_complete(3, 2), [(1, 3)])
+        with pytest.raises(InvalidCycle, match="missing cycle edge"):
+            stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
+
+    def test_stitch_failed_when_ends_blind(self):
+        # the odd cycle (1, 3, 5) offers one matching edge, (1, 3); end 0
+        # never reaches 1 (same part) and loses (0, 3), so both
+        # orientations die
+        g, _ = remove_edges(new_complete(3, 2), [(0, 3)])
+        with pytest.raises(StitchFailed, match="path ends 0 and 4"):
+            stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
 
 
 def _restart_closure_cycle(adj, cand, bound, start, joins=None):
@@ -370,6 +405,27 @@ class TestSolve:
                     validate_hamilton_cycle(g.adj, r.cycle)
                     count += 1
         assert count == 8187
+
+    def test_n2_part_drop_family(self):
+        # At n = 2 each instance drops the edge of a cross pair (low, high)
+        # and 2k-5 more edges at that pair: the whole budget 2k-4. Most fail
+        # the sigma bound, which once sent them through a part drop; the
+        # all-pairs closure now builds every one of them by itself.
+        rng = random.Random(2024)
+        sigma_failures = 0
+        for k in range(3, 13):
+            host = new_complete(k, 2)
+            for _ in range(40):
+                low = rng.randrange(2 * k)
+                high = rng.choice([w for w in range(2 * k) if w // 2 != low // 2])
+                pair = (min(low, high), max(low, high))
+                at_pair = [e for e in host.edges() if e != pair and set(e) & {low, high}]
+                g, _ = remove_edges(host, [pair] + rng.sample(at_pair, 2 * k - 5))
+                r = solve(g)
+                validate_hamilton_cycle(g.adj, r.cycle)
+                assert r.trace == ("BaseN2", "LemmaClosure")
+                sigma_failures += not meets_sigma_bound(k, 2, stats(g).sigma)
+        assert sigma_failures == 360
 
     def test_closure_alone_at_every_multipartite_shape(self):
         # Chvatal's condition holds at the threshold whenever k >= 3 and
