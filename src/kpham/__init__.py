@@ -21,7 +21,6 @@ from .constructive import (
     ore_build_cycle,
     solve,
     solve_theorem11,
-    stitch_matching,
 )
 from .errors import (
     BudgetExceeded,
@@ -32,7 +31,6 @@ from .errors import (
     InvalidGraph,
     InvalidPath,
     KphamError,
-    StitchFailed,
     TooLarge,
     TooSmall,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "OracleAnswer",
     "SIGMA_INFINITY",
     "SolveResult",
-    "StitchFailed",
     "TooLarge",
     "TooSmall",
     "add_edge",
@@ -118,7 +115,6 @@ __all__ = [
     "solve",
     "solve_theorem11",
     "stats",
-    "stitch_matching",
     "tight_non_hamiltonian",
     "validate_hamilton_cycle",
     "validate_hamilton_path",

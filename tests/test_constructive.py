@@ -24,10 +24,8 @@ from conftest import all_subsets_of_size, host_edges, partite_graphs, perm_hamil
 from kpham import (
     ConstructionFailed,
     HypothesisNotMet,
-    InvalidCycle,
     InvalidPath,
     SolveResult,
-    StitchFailed,
     TooSmall,
     canonical_cycle,
     check_ore,
@@ -43,7 +41,6 @@ from kpham import (
     solve,
     solve_theorem11,
     stats,
-    stitch_matching,
     tight_non_hamiltonian,
     validate_hamilton_cycle,
 )
@@ -76,6 +73,8 @@ class TestClosePath:
         g = new_complete(2, 2)
         cyc = close_hamilton_path(g.adj, [0, 2, 1, 3])
         assert cyc == (0, 2, 1, 3)
+        # three vertices, the fewest a cycle needs
+        assert close_hamilton_path(new_complete(3, 1).adj, [0, 1, 2]) == (0, 1, 2)
 
     def test_crossing_pair_rescue(self):
         # path 0-1-2-3-4-5 with chords making each end degree 3: ends stay
@@ -157,36 +156,6 @@ class TestOreRotation:
             above = [full ^ ((2 << u) - 1) for u in range(nv)]
             assert cyc == _restart_closure_cycle(rows, above, nv, range(nv))
             built += 1
-
-
-class TestStitch:
-    def test_basic_join(self):
-        g = new_complete(3, 2)
-        cyc = stitch_matching(g, path=[0, 2, 4], cycle=[1, 3, 5], avoid=0)
-        validate_hamilton_cycle(g.adj, cyc)
-
-    def test_rejects_overlap(self):
-        g = new_complete(3, 2)
-        with pytest.raises(InvalidCycle, match="overlap"):
-            stitch_matching(g, [0, 2, 4], [4, 1, 3], avoid=0)
-
-    def test_rejects_partial_cover(self):
-        g = new_complete(3, 2)
-        with pytest.raises(InvalidCycle, match="cover"):
-            stitch_matching(g, [0, 2], [1, 3, 5], avoid=0)
-
-    def test_rejects_fake_cycle_edge(self):
-        g, _ = remove_edges(new_complete(3, 2), [(1, 3)])
-        with pytest.raises(InvalidCycle, match="missing cycle edge"):
-            stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
-
-    def test_stitch_failed_when_ends_blind(self):
-        # the odd cycle (1, 3, 5) offers one matching edge, (1, 3); end 0
-        # never reaches 1 (same part) and loses (0, 3), so both
-        # orientations die
-        g, _ = remove_edges(new_complete(3, 2), [(0, 3)])
-        with pytest.raises(StitchFailed, match="path ends 0 and 4"):
-            stitch_matching(g, [0, 2, 4], [1, 3, 5], avoid=0)
 
 
 def _restart_closure_cycle(adj, cand, bound, start, joins=None):

@@ -10,17 +10,20 @@ from hypothesis import given, settings
 from conftest import partite_graphs, perm_hamiltonian
 import kpham.oracle
 from kpham import (
+    EnumerationSummary,
     SolveResult,
     TooLarge,
     enumerate_threshold_sweep,
     from_edge_list,
+    is_hamilton_cycle,
     is_hamiltonian,
     new_complete,
     remove_edges,
     validate_hamilton_cycle,
 )
+from kpham.conditions import edge_threshold
 from kpham.graph import adjacency_from_edges
-from kpham.oracle import _BACKTRACK_BUDGET
+from kpham.oracle import _BACKTRACK_BUDGET, Counterexample, _certified_by_carried
 
 PETERSEN = adjacency_from_edges(
     10,
@@ -169,6 +172,35 @@ class TestDecision:
         assert ans.nodes_expanded == 0
 
 
+def _searched_sweep(k, n, min_edges):
+    """The sweep's summary with the oracle's search run on every instance
+    and no carried cycles, as a reference."""
+    host = new_complete(k, n).edges()
+    threshold = edge_threshold(k, n)
+    ham = agreements = fallbacks = 0
+    records, tags = [], {}
+    sizes = range(min_edges, len(host) + 1)
+    instances = [c for size in sizes for c in combinations(host, size)]
+    for edges in instances:
+        g = from_edge_list(k, n, edges)
+        truth = is_hamiltonian(g).hamiltonian
+        ham += truth
+        if g.edge_count >= threshold:
+            result = kpham.oracle.solve(g)
+            for tag in set(result.trace):
+                tags[tag] = tags.get(tag, 0) + 1
+            fallbacks += "SearchFallback" in result.trace
+            cycle = result.cycle
+            if truth and cycle is not None and is_hamilton_cycle(g.adj, cycle):
+                agreements += 1
+            else:
+                records.append(Counterexample(edges, truth, result.failure))
+    return EnumerationSummary(
+        k, n, min_edges, len(instances), ham, len(instances) - ham,
+        agreements, fallbacks, tuple(records), tuple(sorted(tags.items())),
+    )
+
+
 class TestSweep:
     def test_smallest_case(self):
         s = enumerate_threshold_sweep(2, 2)
@@ -265,3 +297,63 @@ class TestSweep:
         assert s.total == 0
         assert s.branch_tags == ()
         assert enumerate_threshold_sweep(2, 2, min_edges=5, jobs=2) == s
+
+
+class TestCarriedCycles:
+    """At or above the threshold the sweep certifies an instance with an
+    oracle cycle carried from an earlier instance when paths accepts it,
+    and searches only the rest."""
+
+    @pytest.mark.parametrize(("k", "n", "min_edges"), [(3, 2, 9), (4, 2, 20)])
+    def test_summary_equals_searching_every_instance(
+        self, k, n, min_edges, pool_widths, monkeypatch
+    ):
+        want = _searched_sweep(k, n, min_edges)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for jobs in (1, 3):
+            assert enumerate_threshold_sweep(k, n, min_edges, jobs=jobs) == want
+        assert pool_widths.chunks == [3]
+
+    def test_only_paths_certifies(self):
+        # Host K_{2,2} with edges (0,2), (0,3), (1,2), (1,3) as bits 0-3.
+        g, _ = remove_edges(new_complete(2, 2), [(1, 3)])
+        missing = 0b1000
+        cycle = (0, 2, 1, 3)  # uses (1, 3)
+        # A mask that names the missing edge screens the cycle out, and a
+        # mask that hides it leaves the cycle to paths, which rejects it.
+        assert not _certified_by_carried(g.adj, missing, [(0b1111, cycle)])
+        assert not _certified_by_carried(g.adj, missing, [(0, cycle)])
+        # On the host, the first cycle that passes both moves to the front.
+        junk = (0, 1, 2)
+        carried = [(0, junk), (0b1111, cycle)]
+        assert _certified_by_carried(new_complete(2, 2).adj, 0, carried)
+        assert carried == [(0b1111, cycle), (0, junk)]
+
+    def test_oracle_searches_pinned(self, monkeypatch):
+        real = kpham.oracle.is_hamiltonian
+        calls = []
+
+        def counting(g, method="auto"):
+            calls.append(g.edge_count)
+            return real(g, method)
+
+        monkeypatch.setattr(kpham.oracle, "is_hamiltonian", counting)
+        s = enumerate_threshold_sweep(4, 2)
+        assert s.total == s.hamiltonian == 12951
+        assert len(calls) == 130
+
+    @pytest.mark.parametrize(("k", "n", "min_edges"), [(3, 2, 9), (4, 2, None)])
+    def test_failing_solver_moves_no_oracle_count(self, k, n, min_edges, monkeypatch):
+        # Carried cycles come from the oracle alone, so a solver that
+        # builds nothing leaves the oracle's tallies where they were.
+        want = enumerate_threshold_sweep(k, n, min_edges)
+        monkeypatch.setattr(
+            kpham.oracle, "solve", lambda g: SolveResult(None, (), "Injected")
+        )
+        got = enumerate_threshold_sweep(k, n, min_edges)
+        assert (got.hamiltonian, got.non_hamiltonian) == (
+            want.hamiltonian, want.non_hamiltonian
+        )
+        assert got.solver_agreements == 0
+        assert len(got.counterexamples) == want.solver_agreements
+        assert all(c.oracle_hamiltonian for c in got.counterexamples)
