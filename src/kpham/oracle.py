@@ -23,12 +23,13 @@ order. run_chunks() cuts that sequence into index ranges, one per worker
 process, and sums the per-range tallies in index order, so the summary is
 byte-identical for any worker count.
 
-A sweep certifies a "yes" with a Hamilton cycle the oracle found that
-paths.is_hamilton_cycle accepts on the instance: found fresh by
-is_hamiltonian, or, at or above the threshold, carried from an earlier
-instance of the same index range. Neighbouring subsets share all but a few
-edges, so one cycle certifies many instances; the (3,3) threshold sweep
-searches 221 of its 20 854 instances. Every "no" comes from the search.
+A sweep's "yes" on an instance is an oracle cycle: one the search built
+on that instance, or, at or above the threshold, one is_hamiltonian found
+on an earlier instance of the same index range and carried forward, which
+paths.is_hamilton_cycle accepts on this one. Neighbouring subsets share
+all but a few edges, so one cycle certifies many instances; the (3,3)
+threshold sweep searches 221 of its 20 854 instances. Every "no" comes
+from the search.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class OracleAnswer:
 def is_hamiltonian(
     graph: KPartiteGraph | Sequence[int],
     method: str = "auto",
+    carried: list[tuple[int, ...]] | None = None,
 ) -> OracleAnswer:
     """Decide Hamiltonicity exactly, returning a witness cycle when one
     exists.
@@ -75,6 +77,13 @@ def is_hamiltonian(
     nodes_expanded counts the nodes of every procedure that ran, spent
     budget included. Raises TooLarge past ORACLE_VERTEX_CAP vertices: the
     procedures are exponential and the cap keeps misuse loud.
+
+    carried, when given, holds cycles that earlier calls returned, most
+    recently useful first, and this call updates it. The first of them
+    that paths.is_hamilton_cycle accepts on graph decides "yes" with
+    method "carried" and 0 nodes, and moves to the front. Otherwise the
+    search runs as above, and a cycle it finds goes to the front, keeping
+    at most _CARRIED_CYCLES. A "no" always comes from the search.
     """
     rows = tuple(graph.adj) if isinstance(graph, KPartiteGraph) else tuple(graph)
     n_vertices = len(rows)
@@ -84,6 +93,12 @@ def is_hamiltonian(
         )
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError(f"unknown oracle method {method!r}")
+    if carried:
+        for i, cycle in enumerate(carried):
+            if is_hamilton_cycle(rows, cycle):
+                if i:
+                    carried.insert(0, carried.pop(i))
+                return OracleAnswer(True, cycle, "carried", 0)
     decided_by = "dp" if method == "dp" else "backtracking"
 
     if n_vertices < 3 or min(row.bit_count() for row in rows) < 2:
@@ -103,7 +118,11 @@ def is_hamiltonian(
             decided_by = "dp"
     if cycle is None:
         return OracleAnswer(False, None, decided_by, nodes)
-    return OracleAnswer(True, canonical_cycle(cycle), decided_by, nodes)
+    cycle = canonical_cycle(cycle)
+    if carried is not None:
+        carried.insert(0, cycle)
+        del carried[_CARRIED_CYCLES:]
+    return OracleAnswer(True, cycle, decided_by, nodes)
 
 
 def _reach(rows: tuple[int, ...], start: int, allowed: int) -> int:
@@ -230,14 +249,14 @@ def _sweep_chunk(
     min_edges; within a size, subsets come in itertools.combinations
     order.
 
-    At or above the threshold, the Hamilton cycles the oracle found on
-    earlier instances of this call are carried forward, at most
-    _CARRIED_CYCLES of them, most recently useful first. A carried cycle
-    that paths.is_hamilton_cycle accepts on an instance proves it
-    Hamiltonian; only the instances no carried cycle certifies are
-    searched. Below the threshold every instance is searched, so every
-    "no" comes from is_hamiltonian. Carried cycles come from the oracle
-    alone, never from the solver it is checked against.
+    At or above the threshold, every is_hamiltonian call of this chunk
+    shares one carried list: the Hamilton cycles the oracle found on
+    earlier instances of this call, most recently useful first. A carried
+    cycle that paths.is_hamilton_cycle accepts on an instance proves it
+    Hamiltonian, and only the instances no carried cycle certifies are
+    searched. Below the threshold nothing is carried, so every "no" comes
+    from the search. Carried cycles come from the oracle alone, never from
+    the solver it is checked against.
     """
     k, n, min_edges, lo, hi = args
     host = new_complete(k, n).edges()
@@ -247,12 +266,7 @@ def _sweep_chunk(
     subsets = chain.from_iterable(
         combinations(host, size) for size in range(min_edges, len(host) + 1)
     )
-    # Bit i stands for host edge i. A carried cycle keeps the mask of its
-    # edges, so one AND against an instance's missing host edges screens it
-    # out before paths is asked.
-    edge_bit = {e: 1 << i for i, e in enumerate(host)}
-    host_mask = (1 << len(host)) - 1
-    carried: list[tuple[int, tuple[int, ...]]] = []
+    carried: list[tuple[int, ...]] = []
 
     ham = non_ham = agreements = fallbacks = 0
     records: list[Counterexample] = []
@@ -260,22 +274,8 @@ def _sweep_chunk(
     for edges in islice(subsets, lo, hi):
         g = from_edge_list(k, n, edges)
         at_threshold = g.edge_count >= threshold
-        if at_threshold and _certified_by_carried(
-            g.adj, host_mask ^ sum(map(edge_bit.__getitem__, edges)), carried
-        ):
-            hamiltonian = True
-        else:
-            answer = is_hamiltonian(g)
-            hamiltonian = answer.hamiltonian
-            if at_threshold and hamiltonian:
-                cycle = answer.cycle
-                mask = sum(
-                    edge_bit[(a, b) if a < b else (b, a)]
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1])
-                )
-                carried.insert(0, (mask, cycle))
-                del carried[_CARRIED_CYCLES:]
-        if hamiltonian:
+        answer = is_hamiltonian(g, carried=carried if at_threshold else None)
+        if answer.hamiltonian:
             ham += 1
         else:
             non_ham += 1
@@ -287,29 +287,14 @@ def _sweep_chunk(
             valid = result.cycle is not None and is_hamilton_cycle(
                 g.adj, result.cycle
             )
-            if valid and hamiltonian:
+            if valid and answer.hamiltonian:
                 agreements += 1
             else:
                 failure = result.failure
                 if result.cycle is not None and not valid:
                     failure = "InvalidCycle"
-                records.append(Counterexample(edges, hamiltonian, failure))
+                records.append(Counterexample(edges, answer.hamiltonian, failure))
     return ham, non_ham, agreements, fallbacks, records, tags
-
-
-def _certified_by_carried(
-    adj: Sequence[int], missing: int, carried: list[tuple[int, tuple[int, ...]]]
-) -> bool:
-    """Whether a carried (edge mask, cycle) certifies the graph adj, whose
-    missing host edges are the mask missing. The first cycle that uses no
-    missing edge and that paths.is_hamilton_cycle accepts moves to the
-    front of carried."""
-    for i, (mask, cycle) in enumerate(carried):
-        if not mask & missing and is_hamilton_cycle(adj, cycle):
-            if i:
-                carried.insert(0, carried.pop(i))
-            return True
-    return False
 
 
 def run_chunks(fn: Callable, head: tuple, total: int, jobs: int) -> tuple:
@@ -355,11 +340,11 @@ def enumerate_threshold_sweep(
     oracle are returned as counterexamples (the expected count is zero), in
     sweep order: sizes ascending, then itertools.combinations order over the
     host edges.
-    The oracle's verdict on an instance is "yes" when a Hamilton cycle the
-    oracle found, fresh or carried from an earlier instance of the same
-    index range (at or above the threshold only), passes
-    paths.is_hamilton_cycle on it, and "no" only when is_hamiltonian's
-    search finds none (see _sweep_chunk).
+    The oracle's verdict on an instance is "yes" when its search builds a
+    cycle there or, at or above the threshold only, when a cycle it found
+    on an earlier instance of the same index range passes
+    paths.is_hamilton_cycle there; it is "no" only when the search finds
+    none (see _sweep_chunk).
     The sweep runs as max(1, min(jobs, instances, CPU count)) index
     ranges; two or more run in a process pool, one worker each (see
     run_chunks).

@@ -23,7 +23,7 @@ from kpham import (
 )
 from kpham.conditions import edge_threshold
 from kpham.graph import adjacency_from_edges
-from kpham.oracle import _BACKTRACK_BUDGET, Counterexample, _certified_by_carried
+from kpham.oracle import _BACKTRACK_BUDGET, _CARRIED_CYCLES, Counterexample
 
 PETERSEN = adjacency_from_edges(
     10,
@@ -191,10 +191,14 @@ def _searched_sweep(k, n, min_edges):
                 tags[tag] = tags.get(tag, 0) + 1
             fallbacks += "SearchFallback" in result.trace
             cycle = result.cycle
-            if truth and cycle is not None and is_hamilton_cycle(g.adj, cycle):
+            valid = cycle is not None and is_hamilton_cycle(g.adj, cycle)
+            if truth and valid:
                 agreements += 1
             else:
-                records.append(Counterexample(edges, truth, result.failure))
+                failure = result.failure
+                if cycle is not None and not valid:
+                    failure = "InvalidCycle"
+                records.append(Counterexample(edges, truth, failure))
     return EnumerationSummary(
         k, n, min_edges, len(instances), ham, len(instances) - ham,
         agreements, fallbacks, tuple(records), tuple(sorted(tags.items())),
@@ -315,32 +319,57 @@ class TestCarriedCycles:
         assert pool_widths.chunks == [3]
 
     def test_only_paths_certifies(self):
-        # Host K_{2,2} with edges (0,2), (0,3), (1,2), (1,3) as bits 0-3.
+        # K_{2,2} less (1, 3) is a path: the carried 4-cycle through (1, 3)
+        # is rejected, and the search decides "no" and carries nothing.
         g, _ = remove_edges(new_complete(2, 2), [(1, 3)])
-        missing = 0b1000
-        cycle = (0, 2, 1, 3)  # uses (1, 3)
-        # A mask that names the missing edge screens the cycle out, and a
-        # mask that hides it leaves the cycle to paths, which rejects it.
-        assert not _certified_by_carried(g.adj, missing, [(0b1111, cycle)])
-        assert not _certified_by_carried(g.adj, missing, [(0, cycle)])
-        # On the host, the first cycle that passes both moves to the front.
+        cycle = (0, 2, 1, 3)
+        carried = [cycle]
+        ans = is_hamiltonian(g, carried=carried)
+        assert (ans.hamiltonian, ans.method) == (False, "backtracking")
+        assert carried == [cycle]
+        # On the host, the first cycle paths accepts decides and moves to
+        # the front.
         junk = (0, 1, 2)
-        carried = [(0, junk), (0b1111, cycle)]
-        assert _certified_by_carried(new_complete(2, 2).adj, 0, carried)
-        assert carried == [(0b1111, cycle), (0, junk)]
+        carried = [junk, cycle]
+        ans = is_hamiltonian(new_complete(2, 2), carried=carried)
+        assert (ans.hamiltonian, ans.cycle, ans.method, ans.nodes_expanded) == (
+            True, cycle, "carried", 0
+        )
+        assert carried == [cycle, junk]
+
+    def test_found_cycle_goes_to_the_front_within_the_cap(self):
+        # None of these sequences is a Hamilton cycle of K_{2,2,2}.
+        junk = [(0, 1, v) for v in range(2, 2 + _CARRIED_CYCLES)]
+        carried = list(junk)
+        ans = is_hamiltonian(new_complete(3, 2), carried=carried)
+        assert ans.hamiltonian and ans.method == "backtracking"
+        assert carried == [ans.cycle] + junk[:-1]
+        assert is_hamiltonian(new_complete(3, 2)) == ans
 
     def test_oracle_searches_pinned(self, monkeypatch):
         real = kpham.oracle.is_hamiltonian
-        calls = []
+        methods = []
 
-        def counting(g, method="auto"):
-            calls.append(g.edge_count)
-            return real(g, method)
+        def counting(g, method="auto", carried=None):
+            answer = real(g, method, carried)
+            methods.append((g.edge_count, answer.method))
+            return answer
 
         monkeypatch.setattr(kpham.oracle, "is_hamiltonian", counting)
         s = enumerate_threshold_sweep(4, 2)
         assert s.total == s.hamiltonian == 12951
-        assert len(calls) == 130
+        # One oracle call per instance; all but 130 are decided by a
+        # carried cycle.
+        assert len(methods) == 12951
+        assert sum(m != "carried" for _, m in methods) == 130
+        # Below the threshold every instance is searched: at (3,2) from 9
+        # edges, the 220 instances with 9 and the 12 of the 79 at or above.
+        methods.clear()
+        s = enumerate_threshold_sweep(3, 2, min_edges=9)
+        below = [m for m_edges, m in methods if m_edges < edge_threshold(3, 2)]
+        assert len(methods) == s.total == 299
+        assert len(below) == 220 and "carried" not in below
+        assert sum(m != "carried" for _, m in methods) == 232
 
     @pytest.mark.parametrize(("k", "n", "min_edges"), [(3, 2, 9), (4, 2, None)])
     def test_failing_solver_moves_no_oracle_count(self, k, n, min_edges, monkeypatch):
