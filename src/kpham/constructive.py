@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .conditions import check_ore, edge_threshold
@@ -89,7 +90,7 @@ class SolveResult:
 # =====================================================================
 
 
-def _close(rows: Sequence[int], path: list[int]) -> list[int]:
+def _close(rows: Sequence[int], path: Sequence[int]) -> Sequence[int]:
     """Close a path into a cycle on the same vertex set.
 
     If the ends are adjacent the path itself is the cycle. Otherwise reroute
@@ -106,7 +107,7 @@ def _close(rows: Sequence[int], path: list[int]) -> list[int]:
     raise ConstructionFailed("no crossing pair despite the degree bound")
 
 
-def _open_at(cycle: list[int], u: int, v: int) -> list[int] | None:
+def _open_at(cycle: Sequence[int], u: int, v: int) -> Sequence[int] | None:
     """The Hamilton path from u to v left by dropping the cycle edge (u, v),
     or None when the cycle does not use that edge."""
     i = cycle.index(u)
@@ -166,7 +167,7 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 
 
 def _closure_cycle(
-    adj: Sequence[int], cand: Sequence[int], bound: int, start: list[int]
+    adj: Sequence[int], cand: Sequence[int], bound: int, start: Sequence[int]
 ) -> tuple[int, ...]:
     """Close adj over the candidate pairs until start is a cycle of the
     closed graph, then unwind start onto adj.
@@ -187,20 +188,29 @@ def _closure_cycle(
     back, and only a pending row can hold the next pair to join. pos[w] is
     w's place on the running cycle, so a virtual edge off the cycle costs
     O(1) to recognise, in the joins and in the unwind.
+
+    start is read, never changed, so callers may pass a shared tuple (the
+    per-shape _host_cycle). It visits every vertex once, so one pass over
+    it sets up deg, pos, pending and the count of absent start edges, each
+    edge seen from its later end.
     """
     rows = list(adj)
     count = len(rows)
-    deg = [row.bit_count() for row in rows]
+    deg = [0] * count
     pos = [0] * count
+    absent = pending = 0
+    prev = start[-1]
     for i, w in enumerate(start):
+        row = rows[w]
+        deg[w] = row.bit_count()
         pos[w] = i
-    on_cycle = (1, count - 1)
-    absent = sum(not rows[a] >> b & 1 for a, b in zip(start, start[1:] + start[:1]))
-    added: list[tuple[int, int]] = []
-    pending = 0
-    for w, row in enumerate(rows):
         if cand[w] & ~row:
             pending |= 1 << w
+        if not row >> prev & 1:
+            absent += 1
+        prev = w
+    on_cycle = (1, count - 1)
+    added: list[tuple[int, int]] = []
     u = 0
     while absent and u < count:
         for v in bits(cand[u] & ~rows[u]):
@@ -248,11 +258,20 @@ def _closure_cycle(
     return canonical_cycle(cycle)
 
 
-def _host_cycle(k: int, n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _host_cycle(k: int, n: int) -> tuple[int, ...]:
     """The cycle of the k-partite host that visits the parts in turn,
     0, n, 2n, ..., 1, n + 1, ...: it uses only cross-part edges, and at
     n == 1 it is 0, 1, ..., k-1."""
-    return [p * n + i for i in range(n) for p in range(k)]
+    return tuple(p * n + i for i in range(n) for p in range(k))
+
+
+@lru_cache(maxsize=None)
+def _above_masks(count: int) -> tuple[int, ...]:
+    """cand for the all-pairs closure on count vertices: row u may join
+    every vertex above u."""
+    full = (1 << count) - 1
+    return tuple(full ^ ((2 << u) - 1) for u in range(count))
 
 
 def _complete_closure(adj: Sequence[int], n: int = 1) -> tuple[int, ...]:
@@ -260,9 +279,7 @@ def _complete_closure(adj: Sequence[int], n: int = 1) -> tuple[int, ...]:
     n-balanced parts of adj (0, 1, ..., N-1 at n == 1); see _closure_cycle
     for the ConstructionFailed it raises."""
     count = len(adj)
-    full = (1 << count) - 1
-    above = [full ^ ((2 << u) - 1) for u in range(count)]
-    return _closure_cycle(adj, above, count, _host_cycle(count // n, n))
+    return _closure_cycle(adj, _above_masks(count), count, _host_cycle(count // n, n))
 
 
 def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:

@@ -10,18 +10,21 @@ The adjacency matrix is stored as one Python int per vertex (bit j set
 iff j is a neighbor), which keeps all hot operations word-parallel at
 desk scale. MAX_VERTICES caps k*n.
 
-The constructor checks symmetry on the whole matrix at once: it packs the
-rows, each masked to the k*n vertex bits, into one int of W bits per row (W
-the next power of two >= k*n, at least 8), transposes that with log2(W)
-delta-swaps, and reads the first asymmetric pair off the lowest set bit of
-packed & ~transposed.
+The constructor makes one test per row against a per-shape forbidden mask
+(every bit outside 0..k*n-1, plus the row's own part, which holds the vertex
+itself), and checks symmetry on the whole matrix at once: it packs the rows
+into one int of W bits per row (W the next power of two >= k*n, at least 8;
+rows masked to the k*n vertex bits when some row fails its mask test),
+transposes that with log2(W) delta-swaps, and reads the first asymmetric
+pair off the lowest set bit of packed & ~transposed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from operator import and_
 from typing import Iterable, Iterator
 
 from .errors import InvalidGraph, TooLarge
@@ -47,6 +50,15 @@ def part_masks(k: int, n: int) -> tuple[int, ...]:
     """Bitmask of each part's contiguous vertex block."""
     block = (1 << n) - 1
     return tuple(block << (i * n) for i in range(k))
+
+
+@lru_cache(maxsize=None)
+def _forbidden_masks(k: int, n: int) -> tuple[int, ...]:
+    """Per row, the bits no row of that vertex may hold: every bit outside
+    0..k*n-1 (a negative int) and the vertex's own part block, which holds
+    the vertex itself."""
+    outside = ~((1 << (k * n)) - 1)
+    return tuple(outside | block for block in part_masks(k, n) for _ in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -111,12 +123,14 @@ class KPartiteGraph:
     the whole contract (symmetry, no loops, no intra-part edges), so any
     held instance is structurally sound.
 
-    Rows are checked in order; in each row the range, self-loop, intra-part
-    and then symmetry test, so an error names the first bad row. Symmetry is
-    one transpose of the packed matrix (see the module docstring): its first
-    asymmetric bit, row v and column u, is the pair an edge-by-edge scan of
-    row v in ascending u would meet first, and is reported as
-    "asymmetric adjacency between {u} and {v}" when the loop reaches row v.
+    Each row gets one test against its forbidden mask (see
+    _forbidden_masks), and the packed transpose (see the module docstring)
+    finds the first asymmetric bit, row v and column u: the pair an
+    edge-by-edge scan of row v in ascending u would meet first. Errors name
+    the first bad row, and within it the first of the range, self-loop,
+    intra-part and asymmetry tests that fails; only that row runs them, to
+    build the message. An asymmetry is reported as "asymmetric adjacency
+    between {u} and {v}".
     """
 
     k: int
@@ -128,28 +142,33 @@ class KPartiteGraph:
         count = self.k * self.n
         if len(self.adj) != count:
             raise InvalidGraph(f"adjacency has {len(self.adj)} rows, expected {count}")
+        forbidden = _forbidden_masks(self.k, self.n)
+        clean = not any(map(and_, self.adj, forbidden))
         full = (1 << count) - 1
-        blocks = part_masks(self.k, self.n)
-        # First asymmetric (row, neighbour) pair in row-major order, from the
-        # packed matrix and its transpose; rows are masked to the vertex bits
-        # so that no bit spills into the next row's slot. A row with bits
-        # outside the mask fails the range test before its asymmetry is named.
+        # A row with bits outside 0..count-1 is masked before it is packed,
+        # so that no bit spills into the next row's slot; the range test
+        # below names it.
         width = max(8, 1 << (count - 1).bit_length())
+        rows = self.adj if clean else [row & full for row in self.adj]
         packed = int.from_bytes(
-            b"".join((row & full).to_bytes(width // 8, "little") for row in self.adj),
-            "little",
+            b"".join([row.to_bytes(width // 8, "little") for row in rows]), "little"
         )
         lonely = packed & ~_transpose(packed, width)
+        if clean and not lonely:
+            return
         first = (lonely & -lonely).bit_length() - 1  # -1, in no row, if none
-        for v, row in enumerate(self.adj):
-            if row & ~full:
-                raise InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
-            if row & (1 << v):
-                raise InvalidGraph(f"vertex {v} has a self-loop")
-            if row & blocks[v // self.n]:
-                raise InvalidGraph(f"vertex {v} has an intra-part neighbor")
-            if v == first // width:
-                raise InvalidGraph(f"asymmetric adjacency between {first % width} and {v}")
+        bad = count
+        if not clean:
+            bad = next(v for v, (row, mask) in enumerate(zip(self.adj, forbidden)) if row & mask)
+        v = min(bad, first // width if lonely else count)
+        row = self.adj[v]
+        if row & ~full:
+            raise InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
+        if row & (1 << v):
+            raise InvalidGraph(f"vertex {v} has a self-loop")
+        if row & part_masks(self.k, self.n)[v // self.n]:
+            raise InvalidGraph(f"vertex {v} has an intra-part neighbor")
+        raise InvalidGraph(f"asymmetric adjacency between {first % width} and {v}")
 
     # ---- basic accessors -------------------------------------------------
 
@@ -169,9 +188,9 @@ class KPartiteGraph:
     def neighbors(self, v: int) -> list[int]:
         return list(bits(self.adj[v]))
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, ascending."""
@@ -197,18 +216,19 @@ def new_complete(k: int, n: int) -> KPartiteGraph:
 def from_edge_list(k: int, n: int, edges: Iterable[tuple[int, int]]) -> KPartiteGraph:
     """Build a graph from (u, v) pairs.
 
-    Duplicates are collapsed. Rejects loops, out-of-range ids, and
-    intra-part pairs, naming the offending edge.
+    Duplicates are collapsed. Rejects out-of-range ids, loops and
+    intra-part pairs, in that order, naming the offending edge. Each edge
+    gets one combined test, and only a failing edge is told apart.
     """
     check_shape(k, n)
     count = k * n
     rows = [0] * count
     for u, v in edges:
-        if not (0 <= u < count and 0 <= v < count):
-            raise InvalidGraph(f"edge ({u}, {v}) out of range for {count} vertices")
-        if u == v:
-            raise InvalidGraph(f"edge ({u}, {v}) is a self-loop")
-        if u // n == v // n:
+        if not (0 <= u < count and 0 <= v < count and u // n != v // n):
+            if not (0 <= u < count and 0 <= v < count):
+                raise InvalidGraph(f"edge ({u}, {v}) out of range for {count} vertices")
+            if u == v:
+                raise InvalidGraph(f"edge ({u}, {v}) is a self-loop")
             raise InvalidGraph(f"edge ({u}, {v}) joins two part-{u // n} vertices")
         rows[u] |= 1 << v
         rows[v] |= 1 << u

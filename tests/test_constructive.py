@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import all_subsets_of_size, host_edges, partite_graphs, perm_hamiltonian
 from kpham import (
+    MAX_VERTICES,
     ConstructionFailed,
     HypothesisNotMet,
     InvalidPath,
@@ -732,6 +733,39 @@ class TestChvatalAtThreshold:
         assert _chvatal(_threshold_degrees(k, n, dropped))[0]
         g, _ = remove_edges(new_complete(k, n), dropped)
         validate_hamilton_cycle(g.adj, _complete_closure(g.adj, g.n))
+
+    def test_multi_case_split_arithmetic(self):
+        # _solve_multi's docstring rules out d_i <= i for each i < N/2 by one
+        # of three inequalities, with a = (k-1)n and D the missing edges at
+        # the threshold. Every shape up to the vertex cap is covered but one.
+        uncovered = []
+        for n in range(2, MAX_VERTICES // 3 + 1):
+            for k in range(3, MAX_VERTICES // n + 1):
+                a = (k - 1) * n
+                missing = comb(k, 2) * n * n - edge_threshold(k, n)
+                assert missing == a - 2
+                for i in range(1, (k * n + 1) // 2):
+                    if i == 1:
+                        covered = a - missing >= 2
+                    elif i == 2:
+                        covered = 2 * a - 4 > missing + 1
+                    else:
+                        covered = 3 <= i <= a - 3 and i * (a - i) > 2 * missing
+                    if not covered:
+                        uncovered.append((k, n, i))
+        assert uncovered == [(3, 3, 4)]
+        # (3,3), i = 4: four vertices of degree <= 4 miss >= 4(a - 4) = 8 =
+        # 2D edge ends, so every other vertex keeps degree a = 6 >= N - 4.
+        a, missing = 6, 4
+        assert 4 * (a - 4) == 2 * missing and a >= 9 - 4
+
+    def test_k2_degree_sum_arithmetic(self):
+        # _solve_k2: at most D + 1 <= n - 1 edges are missing at the two ends
+        # of a missing pair, so their degree sum reaches the bound n + 1.
+        for n in range(2, MAX_VERTICES // 2 + 1):
+            missing = n * n - edge_threshold(2, n)
+            assert missing == n - 2
+            assert 2 * n - (missing + 1) >= n + 1
 
 
 # ---- golden outputs ------------------------------------------------------

@@ -57,6 +57,22 @@ class TestConstruction:
         with pytest.raises(InvalidGraph):
             from_edge_list(2, 2, [(-1, 2)])
 
+    @pytest.mark.parametrize(
+        ("edge", "message"),
+        [
+            ((0, 4), "edge (0, 4) out of range for 4 vertices"),
+            ((4, 4), "edge (4, 4) out of range for 4 vertices"),
+            ((-1, -1), "edge (-1, -1) out of range for 4 vertices"),
+            ((1, 1), "edge (1, 1) is a self-loop"),
+            ((3, 2), "edge (3, 2) joins two part-1 vertices"),
+        ],
+    )
+    def test_edge_errors_and_their_order(self, edge, message):
+        # range, then self-loop, then intra-part; the first bad edge wins
+        with pytest.raises(InvalidGraph) as exc_info:
+            from_edge_list(2, 2, [(0, 2), edge, (0, 9)])
+        assert str(exc_info.value) == message
+
     def test_rejects_self_loop(self):
         with pytest.raises(InvalidGraph):
             KPartiteGraph(2, 1, (1, 2))

@@ -19,6 +19,94 @@ from kpham.graph import adjacency_from_edges
 C4 = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
+# ---- reference: the four checks as they stood before the defect scan -----
+#
+# Kept verbatim (renamed with a ref_ prefix) so that the single defect scan
+# in kpham.paths is held to the same errors, messages and answers.
+
+
+def ref_validate_path(adj, seq) -> None:
+    """Raise InvalidPath unless seq is a simple path of the graph."""
+    if not seq:
+        raise InvalidPath("empty vertex sequence")
+    n_vertices = len(adj)
+    seen = 0
+    for v in seq:
+        if not 0 <= v < n_vertices:
+            raise InvalidPath(f"vertex {v} out of range")
+        if seen & (1 << v):
+            raise InvalidPath(f"vertex {v} repeated")
+        seen |= 1 << v
+    for a, b in zip(seq, seq[1:]):
+        if not adj[a] & (1 << b):
+            raise InvalidPath(f"missing edge ({a}, {b})")
+
+
+def ref_validate_hamilton_path(adj, seq) -> None:
+    ref_validate_path(adj, seq)
+    if len(seq) != len(adj):
+        raise InvalidPath(f"path covers {len(seq)} of {len(adj)} vertices")
+
+
+def ref_validate_hamilton_cycle(adj, seq) -> None:
+    """Raise InvalidCycle unless seq visits every vertex once and closes."""
+    if len(seq) < 3:
+        raise InvalidCycle("a cycle needs at least 3 vertices")
+    try:
+        ref_validate_hamilton_path(adj, seq)
+    except InvalidPath as exc:
+        raise InvalidCycle(str(exc)) from None
+    if not adj[seq[-1]] & (1 << seq[0]):
+        raise InvalidCycle(f"missing closing edge ({seq[-1]}, {seq[0]})")
+
+
+def ref_is_hamilton_cycle(adj, seq) -> bool:
+    try:
+        ref_validate_hamilton_cycle(adj, seq)
+    except InvalidCycle:
+        return False
+    return True
+
+
+@st.composite
+def graphs_and_sequences(draw):
+    """A simple graph on 1..7 vertices and an integer sequence over
+    -2..N+1 of length 0..N+2. Half the sequences are permutations of the
+    vertices, so that the later checks (edges, cover, closing edge) are
+    reached often."""
+    count = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(count) for v in range(u + 1, count)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    adj = adjacency_from_edges(count, edges)
+    if draw(st.booleans()):
+        seq = draw(st.permutations(list(range(count))))
+    else:
+        seq = draw(st.lists(st.integers(-2, count + 1), max_size=count + 2))
+    return adj, seq
+
+
+def _outcome(check, adj, seq):
+    try:
+        check(adj, seq)
+    except (InvalidPath, InvalidCycle) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(graphs_and_sequences())
+    def test_same_error_class_and_message(self, case):
+        adj, seq = case
+        for check, ref in [
+            (validate_path, ref_validate_path),
+            (validate_hamilton_path, ref_validate_hamilton_path),
+            (validate_hamilton_cycle, ref_validate_hamilton_cycle),
+        ]:
+            assert _outcome(check, adj, seq) == _outcome(ref, adj, seq)
+        assert is_hamilton_cycle(adj, seq) is ref_is_hamilton_cycle(adj, seq)
+
+
 def test_validate_path_accepts_simple_path():
     validate_path(C4, [0, 1, 2])
     validate_path(C4, [3])
