@@ -10,16 +10,18 @@ and produces a Hamilton cycle by the route matching the instance shape:
                   because the edge bound implies Chvatal's degree-sequence
                   condition (see _solve_multi)
 
-Every branch records a tag in SolveResult.trace. A route that runs out of
-admissible moves raises ConstructionFailed; solve() catches it in one place,
-falls back to exhaustive search, tags the trace with SearchFallback, and
-logs the reason and the instance at INFO, so the gap rate between guaranteed
-hypotheses and realized constructions stays measurable. The nested solve()
-of a theorem-11 augmented graph catches and logs its own gaps.
+solve_theorem11 runs the same routes on graphs one edge below the threshold
+with every degree at least 2.
 
-Determinism contract: every choice (joined pair, crossing index, virtual
-edge) is resolved lowest-id first, and cycles are returned in canonical
-form, so identical inputs always produce identical results.
+Every branch records a tag in SolveResult.trace. A route that runs out of
+admissible moves raises ConstructionFailed; _construct catches it in one
+place, falls back to exhaustive search, tags the trace with SearchFallback,
+and logs the reason and the instance at INFO, so the gap rate between
+guaranteed hypotheses and realized constructions stays measurable.
+
+Determinism contract: every choice (joined pair, crossing index) is resolved
+lowest-id first, and cycles are returned in canonical form, so identical
+inputs always produce identical results.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Sequence
 
 from .conditions import check_ore, edge_threshold
 from .errors import ConstructionFailed, HypothesisNotMet, TooSmall
-from .graph import KPartiteGraph, add_edge, bits, complement, part_masks, stats
+from .graph import KPartiteGraph, bits, part_masks
 from .paths import canonical_cycle, validate_hamilton_path
 
 logger = logging.getLogger(__name__)
@@ -42,7 +44,6 @@ BASE_K2 = "BaseK2"
 BASE_N2 = "BaseN2"
 LEMMA_CLOSURE = "LemmaClosure"
 ORE_ROTATION = "OreRotation"
-T11_ADD_EDGE = "T11AddEdge"
 SEARCH_FALLBACK = "SearchFallback"
 
 TRACE_TAGS = frozenset(
@@ -52,7 +53,6 @@ TRACE_TAGS = frozenset(
         BASE_N2,
         LEMMA_CLOSURE,
         ORE_ROTATION,
-        T11_ADD_EDGE,
         SEARCH_FALLBACK,
     }
 )
@@ -107,15 +107,12 @@ def _close(rows: Sequence[int], path: Sequence[int]) -> Sequence[int]:
     raise ConstructionFailed("no crossing pair despite the degree bound")
 
 
-def _open_at(cycle: Sequence[int], u: int, v: int) -> Sequence[int] | None:
-    """The Hamilton path from u to v left by dropping the cycle edge (u, v),
-    or None when the cycle does not use that edge."""
+def _open_at(cycle: Sequence[int], u: int, v: int) -> Sequence[int]:
+    """The Hamilton path from u to v left by dropping the cycle edge (u, v)."""
     i = cycle.index(u)
-    if cycle[(i + 1) % len(cycle)] == v:
-        return cycle[i::-1] + cycle[:i:-1]
     if cycle[i - 1] == v:
         return cycle[i:] + cycle[:i]
-    return None
+    return cycle[i::-1] + cycle[:i:-1]
 
 
 def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, ...]:
@@ -323,6 +320,13 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     Degrees only grow while the closure runs, so every missing pair joins,
     the closed graph is the complete bipartite host, the alternating start
     cycle is present and the closure never raises.
+
+    One edge short with every degree >= 2 (solve_theorem11), D = n - 1. A
+    missing pair (u, v) qualifies at bound n + 1 unless all n - 1 missing
+    edges touch u or v. If no missing pair qualified, every two missing
+    edges would share an end; in a bipartite graph that makes them a star,
+    whose centre has degree n - (n - 1) = 1 < 2. So one pair joins, then
+    D <= n - 2 and every remaining pair joins as above.
     """
     trace.append(BASE_K2)
     n = g.n
@@ -371,13 +375,50 @@ def solve(g: KPartiteGraph) -> SolveResult:
     meets edge_threshold(k, n) and (k, n) != (2, 1); below the threshold
     the result fails with HypothesisNotMet without running any search. The
     trace lists every branch taken, including SearchFallback when a
-    constructive route raised ConstructionFailed; this is the one place
-    that catches it.
+    constructive route raised ConstructionFailed (see _construct).
     """
     if (g.k, g.n) == (2, 1):
         return SolveResult(None, (), FAIL_TOO_SMALL)
     if g.edge_count < edge_threshold(g.k, g.n):
         return SolveResult(None, (), FAIL_HYPOTHESIS)
+    return _construct(g)
+
+
+def solve_theorem11(g: KPartiteGraph) -> SolveResult:
+    """Extended solve admitting edge counts one below the threshold when the
+    minimum degree is at least 2.
+
+    One edge short it runs solve()'s route (_construct), and otherwise it
+    returns solve(g). The closures are sound at any edge count (Bondy &
+    Chvatal). One edge short they are complete at k == 2 (_solve_k2) and,
+    as follows, at k >= 3 once a = (k-1)n >= 8. D = a - 1 edges are
+    missing, and as in _solve_multi no i < N/2 has d_i <= i:
+
+    * i = 1: the minimum degree is at least 2.
+    * i = 2: two vertices of degree <= 2 miss >= 2(a - 2) - 1 > D distinct
+      edges when a >= 5.
+    * 3 <= i <= a - 3: i vertices of degree <= i carry >= i(a - i) >=
+      3(a - 3) > 2D missing edge ends when a >= 8, and a >= 8 makes every
+      i < N/2 at most a - 3.
+
+    Of the k >= 3 shapes with a < 8, (3,1) has no one-short graph of
+    minimum degree 2, and a census settles (3,2), (3,3), (4,2) and (4,1)
+    to (8,1): the closure fails only on the 12 non-Hamiltonian (3,2) and
+    the 10 non-Hamiltonian (5,1) graphs, which the search decides on at
+    most 6 vertices.
+    """
+    if (
+        (g.k, g.n) != (2, 1)
+        and g.edge_count == edge_threshold(g.k, g.n) - 1
+        and min(map(int.bit_count, g.adj)) >= 2
+    ):
+        return _construct(g)
+    return solve(g)
+
+
+def _construct(g: KPartiteGraph) -> SolveResult:
+    """Run the route for g's shape. This is the one place that catches
+    ConstructionFailed; it finishes the instance with the search."""
     trace: list[str] = []
     try:
         if g.n == 1:
@@ -389,50 +430,6 @@ def solve(g: KPartiteGraph) -> SolveResult:
     except ConstructionFailed as exc:
         return _finish_with_search(g, trace, str(exc))
     return SolveResult(cyc, tuple(trace), None)
-
-
-def solve_theorem11(g: KPartiteGraph) -> SolveResult:
-    """Extended solve admitting edge counts one below the threshold when the
-    minimum degree is at least 2.
-
-    At the threshold this defers to solve(). One edge short, it tries each
-    missing cross-part edge not touching the minimizing nonadjacent pair,
-    in lexicographic order: it adds the edge (tagging T11AddEdge), solves
-    the augmented graph, and either keeps the cycle (when the virtual edge
-    is unused) or reroutes around it with a crossing pair. When no edge
-    qualifies, or every reroute finds no crossing pair, it searches the
-    original graph. That is at most (k-1)n - 1 solves before the search.
-    """
-    if (g.k, g.n) == (2, 1):
-        return SolveResult(None, (), FAIL_TOO_SMALL)
-    need = edge_threshold(g.k, g.n)
-    st = stats(g)
-    if st.edge_count >= need:
-        return solve(g)
-    if st.edge_count < need - 1 or st.min_degree < 2:
-        return SolveResult(None, (), FAIL_HYPOTHESIS)
-
-    pair = set(st.sigma_pair)
-    extras = [e for e in complement(g).edges() if pair.isdisjoint(e)]
-    if not extras:
-        return _finish_with_search(g, [T11_ADD_EDGE], "every missing edge touches the pair")
-    trace: list[str] = []
-    for extra in extras:
-        trace.append(T11_ADD_EDGE)
-        sub_result = solve(add_edge(g, *extra))
-        trace.extend(sub_result.trace)
-        if sub_result.cycle is None:
-            return _finish_with_search(g, trace, "augmented solve failed")
-        pathway = _open_at(list(sub_result.cycle), *extra)
-        if pathway is None:
-            return SolveResult(sub_result.cycle, tuple(trace), None)
-        try:
-            rerouted = _close(g.adj, pathway)
-        except ConstructionFailed:
-            continue
-        trace.append(LEMMA_CLOSURE)
-        return SolveResult(canonical_cycle(rerouted), tuple(trace), None)
-    return _finish_with_search(g, trace, "virtual-edge reroute found no crossing")
 
 
 def _finish_with_search(

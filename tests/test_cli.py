@@ -122,7 +122,7 @@ class TestSolve:
         code, out, _ = invoke(capsys, "solve", path, "--theorem11")
         assert code == 0
         assert out.startswith("cycle ")
-        assert "T11AddEdge" in out
+        assert out.endswith("\ntrace BaseN2,LemmaClosure\n")
         # without the flag the same graph is refused
         code, out, _ = invoke(capsys, "solve", path)
         assert out == "none HypothesisNotMet\ntrace\n"

@@ -459,6 +459,14 @@ class TestSolve:
             validate_hamilton_cycle(g.adj, r.cycle)
 
 
+def _adversarial_one_short(n: int):
+    """(3, n) one edge short with minimum degree 2: vertex 3n-4 keeps only
+    2n-6 and 2n-1, and (0, n + n//2) is dropped too."""
+    hub = 3 * n - 4
+    drop = [(w, hub) for w in range(2 * n) if w not in (2 * n - 6, 2 * n - 1)]
+    return remove_edges(new_complete(3, n), drop + [(0, n + n // 2)])[0]
+
+
 class TestSolveTheorem11:
     def test_at_threshold_delegates(self):
         g, _ = remove_edges(new_complete(3, 2), [(0, 2), (1, 4)])
@@ -471,7 +479,7 @@ class TestSolveTheorem11:
         r = solve_theorem11(g2)
         assert r.failure is None
         validate_hamilton_cycle(g2.adj, r.cycle)
-        assert r.trace[0] == "T11AddEdge"
+        assert r.trace == ("BaseN2", "LemmaClosure")
 
     def test_min_degree_one_refused(self):
         g = tight_non_hamiltonian(3, 2)
@@ -490,48 +498,41 @@ class TestSolveTheorem11:
         r = solve_theorem11(g)
         assert r.cycle is None
         assert r.failure == "NotHamiltonian"
-        assert r.trace[0] == "T11AddEdge"
-        assert r.trace[-1] == "SearchFallback"
+        assert r.trace == ("BaseN2", "SearchFallback")
 
     def test_too_small(self):
         assert solve_theorem11(new_complete(2, 1)).failure == "TooSmall"
 
     def test_reroute_failure_falls_back(self, caplog):
-        # The sigma pair is (4, 7), so (5, 8) is the only admissible virtual
-        # edge. The augmented cycle uses it, and the path left by dropping it
-        # has no crossing pair in the original graph.
+        # Adding (5, 8), the one missing edge that avoids the sigma pair
+        # (4, 7), and rerouting around it finds no crossing pair here. The
+        # closure builds the graph directly, with no search and no gap.
         caplog.set_level(logging.INFO, logger="kpham.constructive")
         g, _ = remove_edges(
             new_complete(3, 3), [(4, 6), (4, 7), (4, 8), (5, 7), (5, 8)]
         )
         assert solve_theorem11(g).serialize() == (
-            "cycle 0 4 1 5 6 2 7 3 8\n"
-            "trace T11AddEdge,LemmaClosure,SearchFallback\n"
+            "cycle 0 4 1 5 6 2 8 3 7\ntrace LemmaClosure\n"
         )
-        records = [r for r in caplog.records if r.name == "kpham.constructive"]
-        assert [r.levelno for r in records] == [logging.INFO]
-        assert records[0].getMessage().startswith(
-            "constructive gap: virtual-edge reroute found no crossing [k=3 n=3 m=22"
-        )
+        assert not [r for r in caplog.records if r.name == "kpham.constructive"]
 
     def test_second_virtual_edge_after_reroute_failure(self, caplog):
-        # The sigma pair is (3, 7). The first admissible edge (4, 6) lies on
-        # the augmented cycle and its reroute finds no crossing pair; the
-        # next one, (5, 6), is left off the augmented cycle.
+        # The first missing edge avoiding the sigma pair (3, 7), (4, 6),
+        # has no reroute after an augmented solve; the closure needs no
+        # added edge and builds the graph with no search.
         caplog.set_level(logging.INFO, logger="kpham.constructive")
         g, _ = remove_edges(
             new_complete(3, 3), [(3, 7), (3, 8), (4, 6), (4, 7), (5, 6)]
         )
         assert solve_theorem11(g).serialize() == (
-            "cycle 0 3 6 2 4 1 7 5 8\n"
-            "trace T11AddEdge,LemmaClosure,T11AddEdge,LemmaClosure\n"
+            "cycle 0 3 6 2 4 1 7 5 8\ntrace LemmaClosure\n"
         )
         assert not [r for r in caplog.records if r.name == "kpham.constructive"]
 
     def test_one_short_3x3_gap_sample(self, monkeypatch):
         # A seeded fifth of the one-edge-short (3,3) graphs with minimum
-        # degree 2, with each gap reason pinned (over all 80 676 of them the
-        # reroute gap is 66).
+        # degree 2: the closure builds every one, so none reaches the search
+        # (none of all 80 676 does).
         gaps = Counter()
         finish = constructive._finish_with_search
 
@@ -541,7 +542,7 @@ class TestSolveTheorem11:
 
         monkeypatch.setattr(constructive, "_finish_with_search", counting_finish)
         rng = random.Random(15)
-        graphs = second_edge = 0
+        graphs = 0
         for combo in combinations(host_edges(3, 3), edge_threshold(3, 3) - 1):
             if rng.random() >= 0.2:
                 continue
@@ -551,12 +552,41 @@ class TestSolveTheorem11:
             r = solve_theorem11(g)
             validate_hamilton_cycle(g.adj, r.cycle)
             graphs += 1
-            second_edge += r.trace.count("T11AddEdge") > 1
-        assert (graphs, second_edge) == (16072, 15)
-        assert gaps == {
-            "every missing edge touches the pair": 959,
-            "virtual-edge reroute found no crossing": 20,
-        }
+        assert graphs == 16072
+        assert not gaps
+
+    @pytest.mark.parametrize("n", [8, 21])
+    def test_adversarial_family_built_without_search(self, n):
+        # Every missing edge touches the pair of least degree sum, and an
+        # exhaustive search takes over 20 s from n = 8 on.
+        g = _adversarial_one_short(n)
+        assert g.edge_count == edge_threshold(3, n) - 1
+        assert min(g.degree(v) for v in range(3 * n)) == 2
+        r = solve_theorem11(g)
+        validate_hamilton_cycle(g.adj, r.cycle)
+        assert "SearchFallback" not in r.trace
+
+    @pytest.mark.parametrize(
+        ("k", "n", "graphs", "searches"),
+        [(3, 2, 196, 12), (5, 1, 100, 10), (2, 4, 528, 0), (6, 1, 1335, 0)],
+    )
+    def test_one_short_census_searches(self, k, n, graphs, searches):
+        # Every one-edge-short graph of minimum degree 2: the closure builds
+        # each Hamiltonian one, and only the non-Hamiltonian ones search.
+        checked = searched = 0
+        for g in all_subsets_of_size(k, n, edge_threshold(k, n) - 1):
+            if min(g.degree(v) for v in range(k * n)) < 2:
+                continue
+            r = solve_theorem11(g)
+            truth = is_hamiltonian(g).hamiltonian
+            assert (r.cycle is not None) == truth
+            if r.cycle is not None:
+                validate_hamilton_cycle(g.adj, r.cycle)
+            if "SearchFallback" in r.trace:
+                assert not truth
+                searched += 1
+            checked += 1
+        assert (checked, searched) == (graphs, searches)
 
     def test_all_one_short_min_degree_two_agree_with_oracle(self):
         # every 9-edge (3, 2) instance with min degree 2: the solver's
@@ -676,8 +706,9 @@ class TestN2DegreeSumFacts:
 # _solve_multi relies on every k >= 3, n >= 2 threshold graph meeting
 # Chvatal's degree-sequence condition, which makes its all-pairs closure at
 # bound N complete. Adding edges keeps the condition, so the full deletion
-# budget (k-1)n-2 is the hardest case. Degrees are computed here from the
-# deleted edges, not through the solver.
+# budget (k-1)n-2 is the hardest case. solve_theorem11 relies on the same
+# condition one edge short wherever (k-1)n >= 8. Degrees are computed here
+# from the deleted edges, not through the solver.
 
 
 def _chvatal(degrees) -> tuple[bool, bool]:
@@ -759,6 +790,36 @@ class TestChvatalAtThreshold:
         a, missing = 6, 4
         assert 4 * (a - 4) == 2 * missing and a >= 9 - 4
 
+    def test_one_short_arithmetic(self):
+        # solve_theorem11's docstring: one edge short, D = a - 1 edges are
+        # missing, the minimum degree rules out i = 1, and each i < N/2 above
+        # it is ruled out by 2(a - 2) - 1 > D (i = 2) or by i(a - i) > 2D
+        # (3 <= i <= a - 3). That covers every shape with a >= 8; a census
+        # settles the k >= 3 shapes with a < 8 but (3,1), where two edges
+        # leave a vertex of degree 1. Of those, (4,1) and (6,1) meet the
+        # inequalities anyway.
+        census = {(3, 2), (3, 3), (4, 2)} | {(k, 1) for k in range(4, 9)}
+        small, uncovered = set(), set()
+        for n in range(1, MAX_VERTICES // 3 + 1):
+            for k in range(3, MAX_VERTICES // n + 1):
+                a = (k - 1) * n
+                missing = comb(k, 2) * n * n - (edge_threshold(k, n) - 1)
+                assert missing == a - 1
+                if a < 8:
+                    small.add((k, n))
+                else:
+                    assert (k * n + 1) // 2 - 1 <= a - 3
+                for i in range(2, (k * n + 1) // 2):
+                    if i == 2:
+                        covered = 2 * (a - 2) - 1 > missing
+                    else:
+                        covered = i <= a - 3 and i * (a - i) > 2 * missing
+                    if not covered:
+                        uncovered.add((k, n))
+        assert small == census | {(3, 1)}
+        assert 2 * (edge_threshold(3, 1) - 1) < 2 * 3
+        assert uncovered == census - {(4, 1), (6, 1)}
+
     def test_k2_degree_sum_arithmetic(self):
         # _solve_k2: at most D + 1 <= n - 1 edges are missing at the two ends
         # of a missing pair, so their degree sum reaches the bound n + 1.
@@ -773,8 +834,8 @@ class TestChvatalAtThreshold:
 # Byte-for-byte pins of solve(), solve_theorem11() and evaluate() on a seeded
 # instance set that reaches every route: BaseN1/OreRotation, BaseK2, the
 # multipartite closure with and without BaseN2 (rand and hub graphs, sigma
-# below N included), and Theorem 11 with the virtual edge unused, rerouted
-# and searched. Any refactor of the solver must keep these strings exactly.
+# below N included), and Theorem 11 one edge short through the same routes.
+# Any refactor of the solver must keep these strings exactly.
 
 GOLDEN_SHAPES = (
     (3, 1), (5, 1), (8, 1), (2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (5, 2),
@@ -821,48 +882,48 @@ GOLDEN_LITERALS = [
     (
         2, 3, [(0, 3)],
         'cycle 0 4 1 3 2 5\ntrace BaseK2,LemmaClosure\n',
-        'cycle 0 4 1 3 2 5\ntrace T11AddEdge,BaseK2,LemmaClosure\n',
+        'cycle 0 4 1 3 2 5\ntrace BaseK2,LemmaClosure\n',
     ),
     (
         4, 2, [(0, 2), (1, 4), (3, 7), (5, 6)],
         'cycle 0 5 3 1 6 4 2 7\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 4 6 2 1 3 5 7\ntrace T11AddEdge,BaseN2,LemmaClosure\n',
+        'cycle 0 4 6 2 1 3 5 7\ntrace BaseN2,LemmaClosure\n',
     ),
     (
         5, 2, [(2, 6), (4, 6), (5, 8), (6, 8), (6, 9), (7, 8)],
         'cycle 0 2 9 7 5 3 4 8 1 6\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 2 9 7 5 3 4 8 1 6\ntrace T11AddEdge,BaseN2,LemmaClosure\n',
+        'cycle 0 2 9 7 5 3 4 8 1 6\ntrace BaseN2,LemmaClosure\n',
     ),
     (
         # the sigma pair (2, 4) sums to 9 < N, below the all-pairs bound
         5, 2, [(0, 2), (0, 4), (2, 4), (2, 6), (4, 7), (4, 9)],
         'cycle 0 6 4 3 5 7 9 2 1 8\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 8 5 3 7 2 1 4 6 9\ntrace T11AddEdge,SearchFallback\n',
+        'cycle 0 5 3 4 6 8 1 2 7 9\ntrace BaseN2,LemmaClosure\n',
     ),
     (
         3, 3, [(0, 4), (0, 6), (0, 8), (1, 8)],
         'cycle 0 3 8 2 7 4 1 6 5\ntrace LemmaClosure\n',
-        'cycle 0 3 8 2 7 4 1 6 5\ntrace T11AddEdge,LemmaClosure\n',
+        'cycle 0 3 8 2 7 4 1 6 5\ntrace LemmaClosure\n',
     ),
     (
         3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)],
         'cycle 0 6 1 4 2 3 7 5 8\ntrace LemmaClosure\n',
-        'cycle 0 6 1 4 2 3 7 5 8\ntrace T11AddEdge,LemmaClosure\n',
+        'cycle 0 6 3 1 4 2 7 5 8\ntrace LemmaClosure\n',
     ),
     (
         4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
         'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace LemmaClosure\n',
-        'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace T11AddEdge,LemmaClosure,LemmaClosure\n',
+        'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace LemmaClosure\n',
     ),
     (
         # vertex 8 keeps only 3 neighbours, none of them in part 0
         5, 2, [(0, 8), (1, 8), (1, 9), (4, 8), (5, 8), (7, 8)],
         'cycle 0 2 4 6 8 3 1 5 7 9\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 2 1 4 7 5 9 3 8 6\ntrace T11AddEdge,SearchFallback\n',
+        'cycle 0 2 4 6 8 3 1 5 7 9\ntrace BaseN2,LemmaClosure\n',
     ),
 ]
 
-GOLDEN_BATCH_SHA256 = "a45397cc9a17732a4cebec1cf35a417774fac813e547feb127f76cc34cff112a"
+GOLDEN_BATCH_SHA256 = "fc52c7650ed5c2050ede553a1a453af59a8eb98cbc88726fcdca8871d2f28ea1"
 
 
 class TestGolden:
@@ -881,7 +942,7 @@ class TestGolden:
             digest.update(result.serialize().encode())
             digest.update(solve_theorem11(_one_short(g)).serialize().encode())
             digest.update((evaluate(g).as_record() + "\n").encode())
-        assert tags == TRACE_TAGS - {"T11AddEdge", "SearchFallback"}
+        assert tags == TRACE_TAGS - {"SearchFallback"}
         assert digest.hexdigest() == GOLDEN_BATCH_SHA256
 
     def test_gap_log(self, caplog):
@@ -893,7 +954,7 @@ class TestGolden:
         records = [r for r in caplog.records if r.name == "kpham.constructive"]
         assert [r.levelno for r in records] == [logging.INFO]
         assert records[0].getMessage() == (
-            "constructive gap: every missing edge touches the pair [k=3 n=2 m=9"
+            "constructive gap: degree-sum closure did not complete [k=3 n=2 m=9"
             " edges=0-4;0-5;1-3;1-4;1-5;2-4;2-5;3-4;3-5]"
         )
         caplog.clear()
