@@ -23,13 +23,20 @@ order. run_chunks() cuts that sequence into index ranges, one per worker
 process, and sums the per-range tallies in index order, so the summary is
 byte-identical for any worker count.
 
+Each instance is the complete host less its missing edges (at most 4 of
+the 27 at the (3,3) threshold): the sweep clears them from the host's rows
+and hands the rows to the KPartiteGraph constructor, which checks them.
+
 A sweep's "yes" on an instance is an oracle cycle: one the search built
 on that instance, or, at or above the threshold, one is_hamiltonian found
 on an earlier instance of the same index range and carried forward, which
 paths.is_hamilton_cycle accepts on this one. Neighbouring subsets share
 all but a few edges, so one cycle certifies many instances; the (3,3)
-threshold sweep searches 221 of its 20 854 instances. Every "no" comes
-from the search.
+threshold sweep searches 221 of its 20 854 instances. A carried cycle is
+a Hamilton cycle of the host, so it lies in an instance exactly when none
+of its edges is missing. The sweep screens the carried cycles by host-edge
+id with that exact test and offers is_hamiltonian only the first that
+fits, so paths rejects none of them. Every "no" comes from the search.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ from typing import Callable, Sequence
 
 from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
-from .errors import TooLarge
-from .graph import KPartiteGraph, bits, from_edge_list, new_complete
+from .errors import InvalidGraph, TooLarge
+from .graph import KPartiteGraph, bits, new_complete
 from .paths import canonical_cycle, is_hamilton_cycle
 
 ORACLE_VERTEX_CAP = 16
@@ -69,7 +76,9 @@ def is_hamiltonian(
     """Decide Hamiltonicity exactly, returning a witness cycle when one
     exists.
 
-    Accepts a partite graph or raw adjacency rows. method is "auto",
+    Accepts a partite graph or raw adjacency rows; raw rows that are not
+    a simple undirected graph on 0..len(rows)-1 (a bit out of range, a
+    self-loop, an asymmetric pair) raise InvalidGraph. method is "auto",
     "backtracking", or "dp". "auto" runs backtracking under a budget of
     _BACKTRACK_BUDGET search nodes and falls back to dp only when the
     budget runs out; the other two run their procedure unbounded. The
@@ -85,12 +94,15 @@ def is_hamiltonian(
     search runs as above, and a cycle it finds goes to the front, keeping
     at most _CARRIED_CYCLES. A "no" always comes from the search.
     """
-    rows = tuple(graph.adj) if isinstance(graph, KPartiteGraph) else tuple(graph)
+    raw = not isinstance(graph, KPartiteGraph)
+    rows = tuple(graph) if raw else graph.adj
     n_vertices = len(rows)
     if n_vertices > ORACLE_VERTEX_CAP:
         raise TooLarge(
             f"{n_vertices} vertices exceeds the oracle cap of {ORACLE_VERTEX_CAP}"
         )
+    if raw:
+        _check_rows(rows)
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError(f"unknown oracle method {method!r}")
     if carried:
@@ -123,6 +135,23 @@ def is_hamiltonian(
         carried.insert(0, cycle)
         del carried[_CARRIED_CYCLES:]
     return OracleAnswer(True, cycle, decided_by, nodes)
+
+
+def _check_rows(rows: tuple[int, ...]) -> None:
+    """Raise InvalidGraph unless rows form a simple undirected graph on
+    0..len(rows)-1: no bit outside that range, no self-loop, and u in
+    rows[v] exactly when v is in rows[u]. A KPartiteGraph's constructor
+    has already made these checks."""
+    count = len(rows)
+    full = (1 << count) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
+        if row >> v & 1:
+            raise InvalidGraph(f"vertex {v} has a self-loop")
+        for u in bits(row):
+            if not rows[u] >> v & 1:
+                raise InvalidGraph(f"asymmetric adjacency between {u} and {v}")
 
 
 def _reach(rows: tuple[int, ...], start: int, allowed: int) -> int:
@@ -249,41 +278,74 @@ def _sweep_chunk(
     min_edges; within a size, subsets come in itertools.combinations
     order.
 
-    At or above the threshold, every is_hamiltonian call of this chunk
-    shares one carried list: the Hamilton cycles the oracle found on
-    earlier instances of this call, most recently useful first. A carried
-    cycle that paths.is_hamilton_cycle accepts on an instance proves it
-    Hamiltonian, and only the instances no carried cycle certifies are
-    searched. Below the threshold nothing is carried, so every "no" comes
-    from the search. Carried cycles come from the oracle alone, never from
-    the solver it is checked against.
+    The host edges are numbered in edges() order and a subset is a
+    combination of those ids. An instance is the complete host with its
+    missing ids (every id not chosen, at most (k-1)n - 2 at the threshold)
+    cleared from the host rows; the KPartiteGraph constructor checks the
+    result as it checks any graph.
+
+    At or above the threshold the chunk carries the Hamilton cycles the
+    oracle found on its earlier instances, most recently useful first.
+    Each is a Hamilton cycle of the host, so it lies in an instance exactly
+    when none of its host-edge ids (closing edge included) is missing: this
+    screen names the first carried cycle paths.is_hamilton_cycle would
+    accept, and is_hamiltonian is offered that one cycle, or none, so that
+    paths certifies it on the first try and the search runs only when no
+    carried cycle fits. Below the threshold nothing is carried, so every
+    "no" comes from the search. Carried cycles come from the oracle alone,
+    never from the solver it is checked against.
     """
     k, n, min_edges, lo, hi = args
-    host = new_complete(k, n).edges()
+    host_graph = new_complete(k, n)
+    host, host_rows = host_graph.edges(), host_graph.adj
+    edge_id = {edge: i for i, edge in enumerate(host)}
+    every_id = frozenset(range(len(host)))
     # solve() owes a cycle at the threshold on every shape but (2, 1), a
     # single edge; there no instance reaches the solver.
     threshold = edge_threshold(k, n) if (k, n) != (2, 1) else len(host) + 1
     subsets = chain.from_iterable(
-        combinations(host, size) for size in range(min_edges, len(host) + 1)
+        combinations(range(len(host)), size)
+        for size in range(min_edges, len(host) + 1)
     )
     carried: list[tuple[int, ...]] = []
+    cycle_ids: dict[tuple[int, ...], frozenset[int]] = {}
 
     ham = non_ham = agreements = fallbacks = 0
     records: list[Counterexample] = []
-    tags: Counter[str] = Counter()
-    for edges in islice(subsets, lo, hi):
-        g = from_edge_list(k, n, edges)
-        at_threshold = g.edge_count >= threshold
-        answer = is_hamiltonian(g, carried=carried if at_threshold else None)
+    traces: Counter[tuple[str, ...]] = Counter()
+    for chosen in islice(subsets, lo, hi):
+        missing = every_id.difference(chosen)
+        rows = list(host_rows)
+        for i in missing:
+            u, v = host[i]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        g = KPartiteGraph(k, n, tuple(rows))
+        at_threshold = len(chosen) >= threshold
+        offer = None
+        if at_threshold:
+            offer = []
+            for i, cycle in enumerate(carried):
+                if cycle_ids[cycle].isdisjoint(missing):
+                    offer.append(carried.pop(i))
+                    break
+        answer = is_hamiltonian(g, carried=offer)
+        if offer:  # the carried cycle that fit, or the one the search found
+            if answer.method != "carried":
+                cycle = answer.cycle
+                cycle_ids[cycle] = frozenset(
+                    edge_id[min(u, v), max(u, v)]
+                    for u, v in zip(cycle, cycle[1:] + cycle[:1])
+                )
+            carried[:0] = offer
+            del carried[_CARRIED_CYCLES:]
         if answer.hamiltonian:
             ham += 1
         else:
             non_ham += 1
         if at_threshold:
             result = solve(g)
-            tags.update(set(result.trace))
-            if SEARCH_FALLBACK in result.trace:
-                fallbacks += 1
+            traces[result.trace] += 1
             valid = result.cycle is not None and is_hamilton_cycle(
                 g.adj, result.cycle
             )
@@ -293,7 +355,13 @@ def _sweep_chunk(
                 failure = result.failure
                 if result.cycle is not None and not valid:
                     failure = "InvalidCycle"
+                edges = tuple(host[i] for i in chosen)
                 records.append(Counterexample(edges, answer.hamiltonian, failure))
+    tags: Counter[str] = Counter()
+    for trace, count in traces.items():
+        tags.update(dict.fromkeys(trace, count))
+        if SEARCH_FALLBACK in trace:
+            fallbacks += count
     return ham, non_ham, agreements, fallbacks, records, tags
 
 

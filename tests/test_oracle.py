@@ -11,6 +11,7 @@ from conftest import partite_graphs, perm_hamiltonian
 import kpham.oracle
 from kpham import (
     EnumerationSummary,
+    InvalidGraph,
     SolveResult,
     TooLarge,
     enumerate_threshold_sweep,
@@ -155,6 +156,21 @@ class TestDecision:
         assert auto.hamiltonian == is_hamiltonian(g, method="dp").hamiltonian
         if auto.hamiltonian:
             validate_hamilton_cycle(g.adj, auto.cycle)
+
+    @pytest.mark.parametrize("method", ["auto", "backtracking", "dp"])
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            # a triangle whose vertex 2 also names vertex 3
+            ([0b110, 0b101, 0b1011], "vertex 2 has neighbors outside 0..2"),
+            ([0b111, 0b101, 0b011], "vertex 0 has a self-loop"),
+            ([0b110, 0b001, 0b011], "asymmetric adjacency between 1 and 2"),
+        ],
+        ids=["out-of-range", "self-loop", "asymmetric"],
+    )
+    def test_raw_rows_are_checked(self, rows, message, method):
+        with pytest.raises(InvalidGraph, match=message):
+            is_hamiltonian(rows, method=method)
 
     def test_min_degree_short_circuit(self):
         g, _ = remove_edges(new_complete(3, 2), [(0, 2), (0, 3), (0, 4)])
@@ -370,6 +386,24 @@ class TestCarriedCycles:
         assert len(methods) == s.total == 299
         assert len(below) == 220 and "carried" not in below
         assert sum(m != "carried" for _, m in methods) == 232
+
+    def test_screen_offers_only_cycles_paths_accepts(self, monkeypatch):
+        # A carried cycle is offered only when none of its host edges is
+        # missing, so paths rejects no carried cycle: each instance costs
+        # one check of the solver's cycle, plus one of the carried cycle
+        # unless the oracle searched it (130 instances).
+        real = kpham.oracle.is_hamilton_cycle
+        verdicts = []
+
+        def counting(adj, seq):
+            verdicts.append(real(adj, seq))
+            return verdicts[-1]
+
+        monkeypatch.setattr(kpham.oracle, "is_hamilton_cycle", counting)
+        s = enumerate_threshold_sweep(4, 2)
+        assert s.total == s.solver_agreements == 12951
+        assert all(verdicts)
+        assert len(verdicts) == 2 * 12951 - 130
 
     @pytest.mark.parametrize(("k", "n", "min_edges"), [(3, 2, 9), (4, 2, None)])
     def test_failing_solver_moves_no_oracle_count(self, k, n, min_edges, monkeypatch):
