@@ -8,11 +8,14 @@ fault_tolerance_trial() deletes edges from the complete host — randomly or
 exhaustively — and reports how many instances stay Hamiltonian. Within the
 deletion budget (k-1)n - 2 the edge count stays at or above the threshold,
 so the solver answers and the oracle cross-checks it; past the budget only
-the oracle can decide, and the caller must opt in explicitly.
+the oracle can decide, and the caller must opt in explicitly. Each trial
+is the host less its deleted edges, built and decided by oracle._Host as
+in the sweep: at or above the threshold the cross-check carries oracle
+cycles between the trials of one index range; below it, nothing.
 
-Randomness: trial i draws from random.Random(seed + i), Python's mt19937
-generator, so any trial range is reproducible independently of worker
-count or execution order.
+Randomness: trial i samples its deleted host-edge ids from
+random.Random(seed + i), Python's mt19937 generator, so any trial range is
+reproducible independently of worker count or execution order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
 from .errors import BudgetExceeded, TooLarge, TooSmall
 from .graph import KPartiteGraph, check_shape, from_edge_list, new_complete, remove_edges
-from .oracle import ORACLE_VERTEX_CAP, is_hamiltonian, run_chunks
+from .oracle import ORACLE_VERTEX_CAP, _Host, run_chunks
 from .paths import is_hamilton_cycle
 
 RNG_NAME = "mt19937"
@@ -100,34 +103,32 @@ def _fault_chunk(
     args: tuple[int, int, int, int | None, bool, bool, int, int],
 ) -> tuple[int, int, int, list[tuple[tuple[int, int], ...]]]:
     k, n, deletions, seed, exhaustive, cross_check, lo, hi = args
-    host = new_complete(k, n).edges()
-    threshold = edge_threshold(k, n)
-    survived = fallbacks = disagreements = 0
+    host = _Host(k, n)
+    ids = range(len(host.edges))
+    at_threshold = len(ids) - deletions >= edge_threshold(k, n)
+    fallbacks = disagreements = 0
     failures: list[tuple[tuple[int, int], ...]] = []
     if exhaustive:
-        picks = islice(combinations(host, deletions), lo, hi)
+        picks = islice(combinations(ids, deletions), lo, hi)
     else:
         assert seed is not None
         picks = (
-            tuple(sorted(random.Random(seed + i).sample(host, deletions)))
+            sorted(random.Random(seed + i).sample(ids, deletions))
             for i in range(lo, hi)
         )
-    base = new_complete(k, n)
-    for dropped in picks:
-        g, _ = remove_edges(base, dropped)
-        if g.edge_count >= threshold:
+    for missing in picks:
+        g = host.instance(missing)
+        if at_threshold:
             result = solve(g)
             fallbacks += SEARCH_FALLBACK in result.trace
             alive = result.cycle is not None and is_hamilton_cycle(g.adj, result.cycle)
             if cross_check and k * n <= ORACLE_VERTEX_CAP:
-                disagreements += alive != is_hamiltonian(g).hamiltonian
+                disagreements += alive != host.decide(g, missing, True).hamiltonian
         else:
-            alive = is_hamiltonian(g).hamiltonian
-        if alive:
-            survived += 1
-        else:
-            failures.append(tuple(dropped))
-    return survived, fallbacks, disagreements, failures
+            alive = host.decide(g, missing, False).hamiltonian
+        if not alive:
+            failures.append(tuple(host.edges[i] for i in missing))
+    return hi - lo - len(failures), fallbacks, disagreements, failures
 
 
 def fault_tolerance_trial(

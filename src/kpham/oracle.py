@@ -23,20 +23,14 @@ order. run_chunks() cuts that sequence into index ranges, one per worker
 process, and sums the per-range tallies in index order, so the summary is
 byte-identical for any worker count.
 
-Each instance is the complete host less its missing edges (at most 4 of
-the 27 at the (3,3) threshold): the sweep clears them from the host's rows
-and hands the rows to the KPartiteGraph constructor, which checks them.
-
-A sweep's "yes" on an instance is an oracle cycle: one the search built
-on that instance, or, at or above the threshold, one is_hamiltonian found
-on an earlier instance of the same index range and carried forward, which
-paths.is_hamilton_cycle accepts on this one. Neighbouring subsets share
-all but a few edges, so one cycle certifies many instances; the (3,3)
-threshold sweep searches 221 of its 20 854 instances. A carried cycle is
-a Hamilton cycle of the host, so it lies in an instance exactly when none
-of its edges is missing. The sweep screens the carried cycles by host-edge
-id with that exact test and offers is_hamiltonian only the first that
-fits, so paths rejects none of them. Every "no" comes from the search.
+Each instance, in the sweep and in extremal's fault trials alike, is the
+complete host less its missing edges, built by one _Host per index range.
+A "yes" is an oracle cycle: one the search built on that instance, or, at
+or above the threshold, one it found on an earlier instance of the same
+range and carried forward, which paths.is_hamilton_cycle accepts on this
+one. Neighbouring instances share all but a few edges, so one cycle
+certifies many; the (3,3) threshold sweep searches 221 of its 20 854
+instances. Every "no" comes from the search.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
@@ -71,7 +65,7 @@ class OracleAnswer:
 def is_hamiltonian(
     graph: KPartiteGraph | Sequence[int],
     method: str = "auto",
-    carried: list[tuple[int, ...]] | None = None,
+    carried: tuple[int, ...] | None = None,
 ) -> OracleAnswer:
     """Decide Hamiltonicity exactly, returning a witness cycle when one
     exists.
@@ -87,12 +81,10 @@ def is_hamiltonian(
     budget included. Raises TooLarge past ORACLE_VERTEX_CAP vertices: the
     procedures are exponential and the cap keeps misuse loud.
 
-    carried, when given, holds cycles that earlier calls returned, most
-    recently useful first, and this call updates it. The first of them
-    that paths.is_hamilton_cycle accepts on graph decides "yes" with
-    method "carried" and 0 nodes, and moves to the front. Otherwise the
-    search runs as above, and a cycle it finds goes to the front, keeping
-    at most _CARRIED_CYCLES. A "no" always comes from the search.
+    carried, when given, is a cycle an earlier call returned. If
+    paths.is_hamilton_cycle accepts it on graph, the answer is "yes" with
+    that cycle, method "carried" and 0 nodes; otherwise the search runs as
+    above. A "no" always comes from the search.
     """
     raw = not isinstance(graph, KPartiteGraph)
     rows = tuple(graph) if raw else graph.adj
@@ -105,12 +97,8 @@ def is_hamiltonian(
         _check_rows(rows)
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError(f"unknown oracle method {method!r}")
-    if carried:
-        for i, cycle in enumerate(carried):
-            if is_hamilton_cycle(rows, cycle):
-                if i:
-                    carried.insert(0, carried.pop(i))
-                return OracleAnswer(True, cycle, "carried", 0)
+    if carried is not None and is_hamilton_cycle(rows, carried):
+        return OracleAnswer(True, carried, "carried", 0)
     decided_by = "dp" if method == "dp" else "backtracking"
 
     if n_vertices < 3 or min(row.bit_count() for row in rows) < 2:
@@ -130,11 +118,7 @@ def is_hamiltonian(
             decided_by = "dp"
     if cycle is None:
         return OracleAnswer(False, None, decided_by, nodes)
-    cycle = canonical_cycle(cycle)
-    if carried is not None:
-        carried.insert(0, cycle)
-        del carried[_CARRIED_CYCLES:]
-    return OracleAnswer(True, cycle, decided_by, nodes)
+    return OracleAnswer(True, canonical_cycle(cycle), decided_by, nodes)
 
 
 def _check_rows(rows: tuple[int, ...]) -> None:
@@ -244,7 +228,7 @@ def _held_karp(rows: tuple[int, ...]) -> tuple[list[int] | None, int]:
 
 
 # =====================================================================
-# exhaustive sweep over host-edge subsets
+# host instances and the exhaustive sweep over host-edge subsets
 # =====================================================================
 
 
@@ -271,98 +255,112 @@ class EnumerationSummary:
     branch_tags: tuple[tuple[str, int], ...]
 
 
+class _Host:
+    """The complete host of a shape, its edges numbered in edges() order,
+    and the oracle cycles carried between instances built from it, for
+    _sweep_chunk and extremal._fault_chunk.
+
+    instance(missing) is the host rows with the missing ids' edges cleared;
+    the KPartiteGraph constructor checks them as it checks any graph.
+
+    decide(g, missing, carry) is is_hamiltonian's answer on that instance.
+    Without carry (below the threshold) it searches. With carry it offers
+    the most recently useful carried cycle none of whose host-edge ids,
+    closing edge included, is missing: a cycle of the host lies in the
+    instance exactly then, so paths rejects no offered cycle, and the
+    search runs only when none fits. The cycle that decides "yes" becomes
+    the most recently useful; at most _CARRIED_CYCLES, all from the
+    oracle, are kept.
+    """
+
+    def __init__(self, k: int, n: int) -> None:
+        host = new_complete(k, n)
+        self.k, self.n = k, n
+        self.edges, self.rows = host.edges(), host.adj
+        self._edge_id = {edge: i for i, edge in enumerate(self.edges)}
+        # cycle -> its host-edge ids, least recently useful first
+        self.carried: dict[tuple[int, ...], frozenset[int]] = {}
+
+    def instance(self, missing: Iterable[int]) -> KPartiteGraph:
+        rows = list(self.rows)
+        for i in missing:
+            u, v = self.edges[i]
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        return KPartiteGraph(self.k, self.n, tuple(rows))
+
+    def decide(
+        self, g: KPartiteGraph, missing: Iterable[int], carry: bool
+    ) -> OracleAnswer:
+        if not carry:
+            return is_hamiltonian(g)
+        carried = self.carried
+        for fit, ids in reversed(carried.items()):
+            if ids.isdisjoint(missing):
+                break
+        else:
+            fit = None
+        answer = is_hamiltonian(g, carried=fit)
+        cycle = answer.cycle
+        # Nothing moves when the deciding cycle is already the most recent.
+        if cycle is not None and cycle is not next(reversed(carried), None):
+            pairs = zip(cycle, cycle[1:] + cycle[:1])
+            edge_id = self._edge_id
+            carried[cycle] = carried.pop(cycle, None) or frozenset(
+                [edge_id[(u, v) if u < v else (v, u)] for u, v in pairs]
+            )
+            if len(carried) > _CARRIED_CYCLES:
+                del carried[next(iter(carried))]
+        return answer
+
+
 def _sweep_chunk(
     args: tuple[int, int, int, int, int],
 ) -> tuple[int, int, int, int, list[Counterexample], Counter[str]]:
     """Process flattened sweep indices [lo, hi). Sizes ascend from
-    min_edges; within a size, subsets come in itertools.combinations
-    order.
-
-    The host edges are numbered in edges() order and a subset is a
-    combination of those ids. An instance is the complete host with its
-    missing ids (every id not chosen, at most (k-1)n - 2 at the threshold)
-    cleared from the host rows; the KPartiteGraph constructor checks the
-    result as it checks any graph.
-
-    At or above the threshold the chunk carries the Hamilton cycles the
-    oracle found on its earlier instances, most recently useful first.
-    Each is a Hamilton cycle of the host, so it lies in an instance exactly
-    when none of its host-edge ids (closing edge included) is missing: this
-    screen names the first carried cycle paths.is_hamilton_cycle would
-    accept, and is_hamiltonian is offered that one cycle, or none, so that
-    paths certifies it on the first try and the search runs only when no
-    carried cycle fits. Below the threshold nothing is carried, so every
-    "no" comes from the search. Carried cycles come from the oracle alone,
-    never from the solver it is checked against.
+    min_edges; within a size, subsets come in itertools.combinations order
+    over the host-edge ids. Each instance is the host less the ids not
+    chosen, decided by the chunk's _Host, which carries oracle cycles at or
+    above the threshold only.
     """
     k, n, min_edges, lo, hi = args
-    host_graph = new_complete(k, n)
-    host, host_rows = host_graph.edges(), host_graph.adj
-    edge_id = {edge: i for i, edge in enumerate(host)}
-    every_id = frozenset(range(len(host)))
+    host = _Host(k, n)
+    n_edges = len(host.edges)
+    every_id = frozenset(range(n_edges))
     # solve() owes a cycle at the threshold on every shape but (2, 1), a
     # single edge; there no instance reaches the solver.
-    threshold = edge_threshold(k, n) if (k, n) != (2, 1) else len(host) + 1
+    threshold = edge_threshold(k, n) if (k, n) != (2, 1) else n_edges + 1
     subsets = chain.from_iterable(
-        combinations(range(len(host)), size)
-        for size in range(min_edges, len(host) + 1)
+        combinations(range(n_edges), size) for size in range(min_edges, n_edges + 1)
     )
-    carried: list[tuple[int, ...]] = []
-    cycle_ids: dict[tuple[int, ...], frozenset[int]] = {}
 
-    ham = non_ham = agreements = fallbacks = 0
+    ham = agreements = fallbacks = 0
     records: list[Counterexample] = []
     traces: Counter[tuple[str, ...]] = Counter()
     for chosen in islice(subsets, lo, hi):
         missing = every_id.difference(chosen)
-        rows = list(host_rows)
-        for i in missing:
-            u, v = host[i]
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
-        g = KPartiteGraph(k, n, tuple(rows))
+        g = host.instance(missing)
         at_threshold = len(chosen) >= threshold
-        offer = None
-        if at_threshold:
-            offer = []
-            for i, cycle in enumerate(carried):
-                if cycle_ids[cycle].isdisjoint(missing):
-                    offer.append(carried.pop(i))
-                    break
-        answer = is_hamiltonian(g, carried=offer)
-        if offer:  # the carried cycle that fit, or the one the search found
-            if answer.method != "carried":
-                cycle = answer.cycle
-                cycle_ids[cycle] = frozenset(
-                    edge_id[min(u, v), max(u, v)]
-                    for u, v in zip(cycle, cycle[1:] + cycle[:1])
-                )
-            carried[:0] = offer
-            del carried[_CARRIED_CYCLES:]
-        if answer.hamiltonian:
-            ham += 1
-        else:
-            non_ham += 1
+        answer = host.decide(g, missing, at_threshold)
+        ham += answer.hamiltonian
         if at_threshold:
             result = solve(g)
             traces[result.trace] += 1
-            valid = result.cycle is not None and is_hamilton_cycle(
-                g.adj, result.cycle
-            )
+            valid = result.cycle is not None and is_hamilton_cycle(g.adj, result.cycle)
             if valid and answer.hamiltonian:
                 agreements += 1
             else:
                 failure = result.failure
                 if result.cycle is not None and not valid:
                     failure = "InvalidCycle"
-                edges = tuple(host[i] for i in chosen)
+                edges = tuple(host.edges[i] for i in chosen)
                 records.append(Counterexample(edges, answer.hamiltonian, failure))
     tags: Counter[str] = Counter()
     for trace, count in traces.items():
         tags.update(dict.fromkeys(trace, count))
         if SEARCH_FALLBACK in trace:
             fallbacks += count
-    return ham, non_ham, agreements, fallbacks, records, tags
+    return ham, hi - lo - ham, agreements, fallbacks, records, tags
 
 
 def run_chunks(fn: Callable, head: tuple, total: int, jobs: int) -> tuple:
@@ -412,7 +410,7 @@ def enumerate_threshold_sweep(
     cycle there or, at or above the threshold only, when a cycle it found
     on an earlier instance of the same index range passes
     paths.is_hamilton_cycle there; it is "no" only when the search finds
-    none (see _sweep_chunk).
+    none (see _Host).
     The sweep runs as max(1, min(jobs, instances, CPU count)) index
     ranges; two or more run in a process pool, one worker each (see
     run_chunks).

@@ -927,7 +927,11 @@ GOLDEN_BATCH_SHA256 = "fc52c7650ed5c2050ede553a1a453af59a8eb98cbc88726fcdca8871d
 
 
 class TestGolden:
-    @pytest.mark.parametrize(("k", "n", "drop", "want", "want_t11"), GOLDEN_LITERALS)
+    @pytest.mark.parametrize(
+        ("k", "n", "drop", "want", "want_t11"),
+        GOLDEN_LITERALS,
+        ids=[f"{k}x{n}-drop{i}" for i, (k, n, *_) in enumerate(GOLDEN_LITERALS)],
+    )
     def test_literal(self, k, n, drop, want, want_t11):
         g, _ = remove_edges(new_complete(k, n), drop)
         assert solve(g).serialize() == want

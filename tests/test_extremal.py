@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
+import kpham.oracle
 from kpham import (
     BudgetExceeded,
     TooLarge,
@@ -51,6 +53,23 @@ class TestRandomGraph:
             random_graph_at_edge_count(2, 2, 5, random.Random(0))
         with pytest.raises(ValueError, match="outside"):
             random_graph_at_edge_count(2, 2, -1, random.Random(0))
+
+
+@pytest.fixture
+def oracle_methods(monkeypatch):
+    """The method of every oracle call, each verdict checked against a
+    call with nothing carried."""
+    real = kpham.oracle.is_hamiltonian
+    methods = []
+
+    def counting(g, method="auto", carried=None):
+        answer = real(g, method, carried)
+        assert answer.hamiltonian == real(g).hamiltonian
+        methods.append(answer.method)
+        return answer
+
+    monkeypatch.setattr(kpham.oracle, "is_hamiltonian", counting)
+    return methods
 
 
 class TestFaultTrials:
@@ -138,6 +157,20 @@ class TestFaultTrials:
             3, 2, deletions=3, exhaustive=True, allow_over_budget=True, jobs=4
         )
         assert serial == parallel
+
+    def test_cross_check_carries_oracle_cycles(self, oracle_methods):
+        # At the budget every trial is at the threshold, so the oracle's
+        # cross-check offers cycles it found on earlier trials.
+        rep = fault_tolerance_trial(4, 3, 7, trials=1000, seed=1)
+        assert (rep.survived, rep.disagreements) == (1000, 0)
+        assert Counter(oracle_methods) == {"backtracking": 170, "carried": 830}
+
+    def test_over_budget_trials_are_never_carried(self, oracle_methods):
+        rep = fault_tolerance_trial(
+            3, 2, deletions=3, exhaustive=True, allow_over_budget=True
+        )
+        assert (rep.trials, rep.survived) == (220, 184)
+        assert len(oracle_methods) == 220 and "carried" not in oracle_methods
 
     def test_over_budget_random_needs_small_host(self):
         # 5x4 = 20 vertices exceeds the oracle cap, so an over-budget

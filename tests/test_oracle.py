@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import os
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from kpham import (
 )
 from kpham.conditions import edge_threshold
 from kpham.graph import adjacency_from_edges
-from kpham.oracle import _BACKTRACK_BUDGET, _CARRIED_CYCLES, Counterexample
+from kpham.oracle import _BACKTRACK_BUDGET, _CARRIED_CYCLES, Counterexample, _Host
+from kpham.paths import canonical_cycle
 
 PETERSEN = adjacency_from_edges(
     10,
@@ -336,31 +339,63 @@ class TestCarriedCycles:
 
     def test_only_paths_certifies(self):
         # K_{2,2} less (1, 3) is a path: the carried 4-cycle through (1, 3)
-        # is rejected, and the search decides "no" and carries nothing.
+        # is rejected, and the search decides "no".
         g, _ = remove_edges(new_complete(2, 2), [(1, 3)])
         cycle = (0, 2, 1, 3)
-        carried = [cycle]
-        ans = is_hamiltonian(g, carried=carried)
+        ans = is_hamiltonian(g, carried=cycle)
         assert (ans.hamiltonian, ans.method) == (False, "backtracking")
-        assert carried == [cycle]
-        # On the host, the first cycle paths accepts decides and moves to
-        # the front.
-        junk = (0, 1, 2)
-        carried = [junk, cycle]
-        ans = is_hamiltonian(new_complete(2, 2), carried=carried)
+        # On the host paths accepts it, and it decides without a search.
+        ans = is_hamiltonian(new_complete(2, 2), carried=cycle)
         assert (ans.hamiltonian, ans.cycle, ans.method, ans.nodes_expanded) == (
             True, cycle, "carried", 0
         )
-        assert carried == [cycle, junk]
 
     def test_found_cycle_goes_to_the_front_within_the_cap(self):
-        # None of these sequences is a Hamilton cycle of K_{2,2,2}.
-        junk = [(0, 1, v) for v in range(2, 2 + _CARRIED_CYCLES)]
-        carried = list(junk)
-        ans = is_hamiltonian(new_complete(3, 2), carried=carried)
-        assert ans.hamiltonian and ans.method == "backtracking"
-        assert carried == [ans.cycle] + junk[:-1]
-        assert is_hamiltonian(new_complete(3, 2)) == ans
+        # Each instance is one Hamilton cycle of K_{3,3,3} and nothing else,
+        # so no other cycle fits it and the search finds exactly that one.
+        host = _Host(3, 3)
+        every_id = frozenset(range(len(host.edges)))
+        adj = new_complete(3, 3).adj
+        cycles = []
+        for tail in permutations(range(1, 9)):
+            cycle = canonical_cycle((0, *tail))
+            if is_hamilton_cycle(adj, cycle) and cycle not in cycles:
+                cycles.append(cycle)
+            if len(cycles) == _CARRIED_CYCLES + 8:
+                break
+
+        def missing(cycle):
+            kept = {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+            return every_id - {i for i, e in enumerate(host.edges) if e in kept}
+
+        def decide(cycle, carry=True):
+            gone = missing(cycle)
+            answer = host.decide(host.instance(gone), gone, carry)
+            assert (answer.hamiltonian, answer.cycle) == (True, cycle)
+            return answer.method
+
+        def order():  # most recently useful first
+            return list(reversed(host.carried))
+
+        assert all(decide(c) == "backtracking" for c in cycles)
+        assert order() == cycles[:7:-1]
+        assert host.carried[cycles[20]] == every_id - missing(cycles[20])
+        # A carried cycle that fits decides and moves to the front.
+        assert decide(cycles[20]) == "carried"
+        assert order() == [cycles[20]] + [c for c in cycles[:7:-1] if c != cycles[20]]
+        # An evicted cycle is searched again and evicts the least recent.
+        assert decide(cycles[0]) == "backtracking"
+        assert order() == [cycles[0], cycles[20]] + [
+            c for c in cycles[:8:-1] if c != cycles[20]
+        ]
+        # Without carry nothing is offered or kept.
+        kept = order()
+        assert decide(cycles[20], carry=False) == "backtracking"
+        assert order() == kept
+        # Every carried cycle fits the host; the most recently useful decides.
+        answer = host.decide(host.instance(()), (), True)
+        assert (answer.method, answer.cycle) == ("carried", cycles[0])
+        assert order() == kept
 
     def test_oracle_searches_pinned(self, monkeypatch):
         real = kpham.oracle.is_hamiltonian
@@ -420,3 +455,50 @@ class TestCarriedCycles:
         assert got.solver_agreements == 0
         assert len(got.counterexamples) == want.solver_agreements
         assert all(c.oracle_hamiltonian for c in got.counterexamples)
+
+
+def _module_tree(name):
+    return ast.parse((Path(kpham.oracle.__file__).parent / f"{name}.py").read_text())
+
+
+class TestIndependence:
+    """The oracle checks the solver, so neither may lean on the other's
+    code: a bug in one could then hide in the other."""
+
+    def test_solver_imports_no_checker(self):
+        for node in ast.walk(_module_tree("constructive")):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            parts = {part for name in names for part in name.split(".")}
+            assert not parts & {"oracle", "extremal"}, ast.unparse(node)
+
+    def test_decisions_use_nothing_from_the_solver(self):
+        tree = _module_tree("oracle")
+        solver_names = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module == "constructive"
+            for alias in node.names
+        }
+        assert "solve" in solver_names  # the sweep runs the solver it checks
+        defs = {
+            node.name: node
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        # the decision procedures, the carried-cycle keeper, and every
+        # function of the module they reach
+        todo = ["is_hamiltonian", "_check_rows", "_reach", "_backtrack", "_held_karp", "_Host"]
+        seen = set()
+        while todo:
+            name = todo.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            used = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+            assert not used & solver_names, f"{name} uses {sorted(used & solver_names)}"
+            todo.extend(used & defs.keys())
