@@ -8,7 +8,6 @@ enough, plus determinism and trace-vocabulary invariants.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import random
 from collections import Counter
@@ -20,7 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden_cases
 from conftest import all_subsets_of_size, host_edges, partite_graphs, perm_hamiltonian
+from golden_cases import GOLDEN_LITERALS, LITERAL_IDS, hub_instance, one_short
 from kpham import (
     MAX_VERTICES,
     ConstructionFailed,
@@ -32,7 +33,6 @@ from kpham import (
     check_ore,
     close_hamilton_path,
     edge_threshold,
-    evaluate,
     from_edge_list,
     is_hamilton_cycle,
     new_complete,
@@ -329,7 +329,7 @@ class TestClosure:
         if family == "rand":
             g = random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
         else:
-            g = _hub_instance(k, n, rng)
+            g = hub_instance(k, n, rng)
         count = g.num_vertices
         full = (1 << count) - 1
         cand = _CountingList(full ^ ((2 << u) - 1) for u in range(count))
@@ -408,7 +408,7 @@ class TestSolve:
             want = ("BaseN2", "LemmaClosure") if n == 2 else ("LemmaClosure",)
             for k in range(3, 64 // n + 1):
                 rand = random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
-                for g in (rand, _hub_instance(k, n, rng)):
+                for g in (rand, hub_instance(k, n, rng)):
                     r = solve(g)
                     validate_hamilton_cycle(g.adj, r.cycle)
                     assert r.trace == want
@@ -831,123 +831,29 @@ class TestChvatalAtThreshold:
 
 # ---- golden outputs ------------------------------------------------------
 #
-# Byte-for-byte pins of solve(), solve_theorem11() and evaluate() on a seeded
-# instance set that reaches every route: BaseN1/OreRotation, BaseK2, the
-# multipartite closure with and without BaseN2 (rand and hub graphs, sigma
-# below N included), and Theorem 11 one edge short through the same routes.
-# Any refactor of the solver must keep these strings exactly.
-
-GOLDEN_SHAPES = (
-    (3, 1), (5, 1), (8, 1), (2, 2), (2, 4), (2, 8), (3, 2), (4, 2), (5, 2),
-    (6, 2), (8, 2), (3, 3), (4, 3), (3, 4), (5, 3), (4, 4), (6, 3),
-)
-
-
-def _hub_instance(k: int, n: int, rng: random.Random):
-    """Spend the whole deletion budget (k-1)n - 2 on one vertex, usually
-    keeping its surviving neighbours inside a single part."""
-    budget = (k - 1) * n - 2
-    hub = rng.randrange(k * n)
-    others = [w for w in range(k * n) if w // n != hub // n]
-    keep = rng.choice(sorted({w // n for w in others}))
-    rng.shuffle(others)
-    if rng.random() < 0.7:
-        others.sort(key=lambda w: w // n == keep)
-    g, _ = remove_edges(
-        new_complete(k, n), [(min(hub, w), max(hub, w)) for w in others[:budget]]
-    )
-    return g
-
-
-def _golden_instances():
-    rng = random.Random(2023)
-    for k, n in GOLDEN_SHAPES:
-        for _ in range(16):
-            yield random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
-            yield _hub_instance(k, n, rng)
-
-
-def _one_short(g):
-    edges = g.edges()
-    return remove_edges(g, [edges[len(edges) // 2]])[0]
-
-
-GOLDEN_LITERALS = [
-    # (k, n, dropped host edges, solve, solve_theorem11 one edge short)
-    (
-        4, 1, [(0, 1)],
-        'cycle 0 2 1 3\ntrace BaseN1,OreRotation\n',
-        'none HypothesisNotMet\ntrace\n',
-    ),
-    (
-        2, 3, [(0, 3)],
-        'cycle 0 4 1 3 2 5\ntrace BaseK2,LemmaClosure\n',
-        'cycle 0 4 1 3 2 5\ntrace BaseK2,LemmaClosure\n',
-    ),
-    (
-        4, 2, [(0, 2), (1, 4), (3, 7), (5, 6)],
-        'cycle 0 5 3 1 6 4 2 7\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 4 6 2 1 3 5 7\ntrace BaseN2,LemmaClosure\n',
-    ),
-    (
-        5, 2, [(2, 6), (4, 6), (5, 8), (6, 8), (6, 9), (7, 8)],
-        'cycle 0 2 9 7 5 3 4 8 1 6\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 2 9 7 5 3 4 8 1 6\ntrace BaseN2,LemmaClosure\n',
-    ),
-    (
-        # the sigma pair (2, 4) sums to 9 < N, below the all-pairs bound
-        5, 2, [(0, 2), (0, 4), (2, 4), (2, 6), (4, 7), (4, 9)],
-        'cycle 0 6 4 3 5 7 9 2 1 8\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 5 3 4 6 8 1 2 7 9\ntrace BaseN2,LemmaClosure\n',
-    ),
-    (
-        3, 3, [(0, 4), (0, 6), (0, 8), (1, 8)],
-        'cycle 0 3 8 2 7 4 1 6 5\ntrace LemmaClosure\n',
-        'cycle 0 3 8 2 7 4 1 6 5\ntrace LemmaClosure\n',
-    ),
-    (
-        3, 3, [(0, 3), (0, 4), (0, 5), (2, 5)],
-        'cycle 0 6 1 4 2 3 7 5 8\ntrace LemmaClosure\n',
-        'cycle 0 6 3 1 4 2 7 5 8\ntrace LemmaClosure\n',
-    ),
-    (
-        4, 3, [(0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 9)],
-        'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace LemmaClosure\n',
-        'cycle 0 10 7 1 4 9 6 3 2 5 8 11\ntrace LemmaClosure\n',
-    ),
-    (
-        # vertex 8 keeps only 3 neighbours, none of them in part 0
-        5, 2, [(0, 8), (1, 8), (1, 9), (4, 8), (5, 8), (7, 8)],
-        'cycle 0 2 4 6 8 3 1 5 7 9\ntrace BaseN2,LemmaClosure\n',
-        'cycle 0 2 4 6 8 3 1 5 7 9\ntrace BaseN2,LemmaClosure\n',
-    ),
-]
-
-GOLDEN_BATCH_SHA256 = "fc52c7650ed5c2050ede553a1a453af59a8eb98cbc88726fcdca8871d2f28ea1"
+# The inputs and the way each output is computed live in golden_cases.py; the
+# pinned outputs are the files under tests/golden/, which these tests read
+# and never write. scripts/regen_golden.py rewrites them and prints the diff.
+# Any refactor of the solver must keep these bytes exactly.
 
 
 class TestGolden:
     @pytest.mark.parametrize(
-        ("k", "n", "drop", "want", "want_t11"),
-        GOLDEN_LITERALS,
-        ids=[f"{k}x{n}-drop{i}" for i, (k, n, *_) in enumerate(GOLDEN_LITERALS)],
+        ("name", "k", "n", "drop"),
+        [(name, *case) for name, case in zip(LITERAL_IDS, GOLDEN_LITERALS)],
+        ids=LITERAL_IDS,
     )
-    def test_literal(self, k, n, drop, want, want_t11):
+    def test_literal(self, name, k, n, drop):
+        pinned = golden_cases.read(f"{name}.txt").splitlines(True)
+        want, want_t11 = "".join(pinned[:2]), "".join(pinned[2:])
         g, _ = remove_edges(new_complete(k, n), drop)
         assert solve(g).serialize() == want
-        assert solve_theorem11(_one_short(g)).serialize() == want_t11
+        assert solve_theorem11(one_short(g)).serialize() == want_t11
 
     def test_batch_digest(self):
-        digest = hashlib.sha256()
-        tags: set[str] = set()
-        for g in _golden_instances():
-            result = solve(g)
-            tags.update(result.trace)
-            digest.update(result.serialize().encode())
-            digest.update(solve_theorem11(_one_short(g)).serialize().encode())
-            digest.update((evaluate(g).as_record() + "\n").encode())
+        digest, tags = golden_cases.batch_digest()
         assert tags == TRACE_TAGS - {"SearchFallback"}
-        assert digest.hexdigest() == GOLDEN_BATCH_SHA256
+        assert digest + "\n" == golden_cases.read(golden_cases.BATCH_FILE)
 
     def test_gap_log(self, caplog):
         # A theorem-11 search logs its reason and the instance once at INFO;
