@@ -19,9 +19,11 @@ place, falls back to exhaustive search, tags the trace with SearchFallback,
 and logs the reason and the instance at INFO, so the gap rate between
 guaranteed hypotheses and realized constructions stays measurable.
 
-Determinism contract: every choice (joined pair, crossing index) is resolved
-lowest-id first, and cycles are returned in canonical form, so identical
-inputs always produce identical results.
+Determinism contract: every choice follows a fixed order of vertex ids. The
+closure joins absent start edges in start order, then pairs at their lowest
+ends, then the lexicographically first pair (see _closure_cycle); a reroute
+takes the lowest crossing index; and cycles are returned in canonical form.
+So identical inputs always produce identical results.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 from .conditions import check_ore, edge_threshold
@@ -143,11 +146,20 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 # enough degree sum, we can add the pair as a virtual edge without changing
 # Hamiltonicity (Bondy & Chvatal): a cycle through the virtual edge leaves a
 # Hamilton path whose ends met the degree bound at insertion time, and the
-# crossing-pair reroute replaces the virtual edge with real ones. Adding
-# edges only raises degrees, so the process can be run until the graph
-# holds a chosen Hamilton cycle, the start cycle; any start cycle serves,
-# and the joins stop as soon as its last edge is present. Unwinding the
-# additions in reverse order then yields a cycle of the original graph.
+# crossing-pair reroute replaces the virtual edge with real ones. Unwinding
+# the additions in reverse order carries a cycle of the closed graph back
+# onto the original one.
+#
+# Adding edges only raises degrees, so a pair that qualifies stays
+# qualified, and the full closure, the graph left once no pair qualifies,
+# is the same for every join order (Bondy & Chvatal): the first join of one
+# order missing from the other order's closed graph would still qualify
+# there, so that graph was not closed. Any qualifying join is therefore a
+# free choice. The closure aims its joins at one chosen Hamilton cycle of
+# the host, the start cycle, and stops as soon as its last edge is present.
+# It gives up only when no pair qualifies, and then the graph is the full
+# closure with a start edge absent: the closure gives up on exactly the
+# graphs whose full closure lacks a start edge, whatever the order.
 #
 # One routine serves all three closure routes, each started from the host
 # cycle that visits the parts in turn (_host_cycle). It uses only cross-part
@@ -169,81 +181,70 @@ def _closure_cycle(
     """Close adj over the candidate pairs until start is a cycle of the
     closed graph, then unwind start onto adj.
 
-    cand[u] masks the vertices row u may be joined to, and every edge of
-    start must be a candidate pair. Each step joins the lexicographically
-    first open candidate pair (u, v) whose degree sum reaches bound, and
-    the joins stop as soon as every edge of start is present: the unwind
-    needs only that start is a Hamilton cycle of the closed graph. start is
-    then carried back by removing the added edges in reverse order and
-    rerouting around each one it uses. Raises ConstructionFailed when the
-    closure stops short with an edge of start still absent, or when a
-    reroute finds no crossing pair (see _close).
+    cand[u] masks the vertices row u may be joined to; it must be
+    symmetric, and every edge of start must be a candidate pair. A pair
+    qualifies when it is an open candidate pair whose degree sum reaches
+    bound, and each step joins the first qualifying pair in this order:
 
-    The bit mask pending holds exactly the rows w that still have an open
-    candidate pair (cand[w] & ~rows[w] nonzero). Rows only gain edges while
-    the closure runs, so a row leaves pending at most once and never comes
-    back, and only a pending row can hold the next pair to join. pos[w] is
-    w's place on the running cycle, so a virtual edge off the cycle costs
-    O(1) to recognise, in the joins and in the unwind.
+    (A) an absent start edge, in start order;
+    (B) a pair at an end of an absent start edge: the lowest such end
+        first, then its lowest partner;
+    (C) the lexicographically first pair over all rows. No row scanned in
+        (B) holds one, so (C) scans the other rows in ascending order.
 
-    start is read, never changed, so callers may pass a shared tuple (the
-    per-shape _host_cycle). It visits every vertex once, so one pass over
-    it sets up deg, pos, pending and the count of absent start edges, each
-    edge seen from its later end.
+    The joins stop as soon as every edge of start is present: the unwind
+    needs only that start is a Hamilton cycle of the closed graph. Only
+    (A) joins a start edge, since an absent start edge that qualifies is
+    taken there. start is then carried back by removing the added edges in
+    reverse order and rerouting around each one it uses. Raises
+    ConstructionFailed when no pair qualifies with an edge of start still
+    absent, or when a reroute finds no crossing pair (see _close).
+
+    pos[w] is w's place on the running cycle, so a virtual edge off the
+    cycle costs O(1) to recognise in the unwind. start is read, never
+    changed, so callers may pass a shared tuple (the per-shape
+    _host_cycle). It visits every vertex once, so one pass over it sets up
+    pos and the absent start edges, each edge seen from its later end.
     """
     rows = list(adj)
     count = len(rows)
-    deg = [0] * count
+    deg = [row.bit_count() for row in rows]
     pos = [0] * count
-    absent = pending = 0
+    gaps = []
     prev = start[-1]
     for i, w in enumerate(start):
-        row = rows[w]
-        deg[w] = row.bit_count()
         pos[w] = i
-        if cand[w] & ~row:
-            pending |= 1 << w
-        if not row >> prev & 1:
-            absent += 1
+        if not rows[w] >> prev & 1:
+            gaps.append((prev, w))
         prev = w
-    on_cycle = (1, count - 1)
+    everyone = (1 << count) - 1
     added: list[tuple[int, int]] = []
-    u = 0
-    while absent and u < count:
-        for v in bits(cand[u] & ~rows[u]):
-            if deg[u] + deg[v] >= bound:
-                break
+    while gaps:
+        pair = next(((u, v) for u, v in gaps if deg[u] + deg[v] >= bound), None)
+        if pair is not None:
+            gaps.remove(pair)
         else:
-            u += 1
-            continue
+            ends = 0
+            for u, v in gaps:
+                ends |= 1 << u | 1 << v
+            pair = next(
+                (
+                    (u, v)
+                    for u in chain(bits(ends), bits(everyone ^ ends))
+                    for v in bits(cand[u] & ~rows[u])
+                    if deg[u] + deg[v] >= bound
+                ),
+                None,
+            )
+            if pair is None:
+                raise ConstructionFailed("degree-sum closure did not complete")
+        u, v = pair
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         deg[u] += 1
         deg[v] += 1
-        added.append((u, v))
-        if (pos[u] - pos[v]) % count in on_cycle:
-            absent -= 1
-        if not cand[u] & ~rows[u]:
-            pending &= ~(1 << u)
-        if not cand[v] & ~rows[v]:
-            pending &= ~(1 << v)
-        # Only pairs at u or v gained degree, so the next pair to join lies
-        # in the lowest pending row below u that now qualifies at u or v,
-        # or else in row u itself. Over the solve-n64 benchmark instances
-        # of seeds 31337, 1 and 2, back stays empty on the rand graphs
-        # (~30 000 joins), and on the hub graphs it is set after 161 and a
-        # rewind taken after 16 of ~32 700 joins.
-        back = pending & ((1 << u) - 1)
-        if back:
-            for a in bits(back):
-                open_a = cand[a] & ~rows[a]
-                if (open_a >> u & 1 and deg[a] + deg[u] >= bound) or (
-                    open_a >> v & 1 and deg[a] + deg[v] >= bound
-                ):
-                    u = a
-                    break
-    if absent:
-        raise ConstructionFailed("degree-sum closure did not complete")
+        added.append(pair)
+    on_cycle = (1, count - 1)
     cycle = start
     for u, v in reversed(added):
         rows[u] &= ~(1 << v)
@@ -264,11 +265,11 @@ def _host_cycle(k: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _above_masks(count: int) -> tuple[int, ...]:
+def _other_masks(count: int) -> tuple[int, ...]:
     """cand for the all-pairs closure on count vertices: row u may join
-    every vertex above u."""
+    every other vertex."""
     full = (1 << count) - 1
-    return tuple(full ^ ((2 << u) - 1) for u in range(count))
+    return tuple(full ^ (1 << u) for u in range(count))
 
 
 def _complete_closure(adj: Sequence[int], n: int = 1) -> tuple[int, ...]:
@@ -276,7 +277,7 @@ def _complete_closure(adj: Sequence[int], n: int = 1) -> tuple[int, ...]:
     n-balanced parts of adj (0, 1, ..., N-1 at n == 1); see _closure_cycle
     for the ConstructionFailed it raises."""
     count = len(adj)
-    return _closure_cycle(adj, _above_masks(count), count, _host_cycle(count // n, n))
+    return _closure_cycle(adj, _other_masks(count), count, _host_cycle(count // n, n))
 
 
 def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
@@ -330,8 +331,8 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     """
     trace.append(BASE_K2)
     n = g.n
-    part1 = part_masks(2, n)[1]
-    cyc = _closure_cycle(g.adj, [part1] * n + [0] * n, n + 1, _host_cycle(2, n))
+    part0, part1 = part_masks(2, n)
+    cyc = _closure_cycle(g.adj, [part1] * n + [part0] * n, n + 1, _host_cycle(2, n))
     trace.append(LEMMA_CLOSURE)
     return cyc
 
