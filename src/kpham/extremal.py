@@ -162,7 +162,7 @@ def fault_tolerance_trial(
             f"{deletions} deletions exceeds the budget of {budget}"
             f" for k={k}, n={n}"
         )
-    host_count = new_complete(k, n).edge_count
+    host_count = comb(k, 2) * n * n
     if deletions > host_count:
         raise ValueError(f"cannot delete {deletions} of {host_count} edges")
     if exhaustive:

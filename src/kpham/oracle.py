@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 from .conditions import edge_threshold
 from .constructive import SEARCH_FALLBACK, solve
 from .errors import InvalidGraph, TooLarge
-from .graph import KPartiteGraph, bits, new_complete
+from .graph import KPartiteGraph, bits, check_shape, new_complete
 from .paths import canonical_cycle, is_hamilton_cycle
 
 ORACLE_VERTEX_CAP = 16
@@ -417,7 +417,8 @@ def enumerate_threshold_sweep(
     Raises TooLarge when the host has more than HOST_EDGE_CAP edges, since
     the subset space doubles with each extra edge.
     """
-    host_count = new_complete(k, n).edge_count
+    check_shape(k, n)
+    host_count = comb(k, 2) * n * n
     if host_count > HOST_EDGE_CAP:
         raise TooLarge(
             f"host has {host_count} edges; sweeps are capped at {HOST_EDGE_CAP}"

@@ -9,9 +9,11 @@ import pytest
 import kpham.oracle
 from kpham import (
     BudgetExceeded,
+    InvalidGraph,
     TooLarge,
     TooSmall,
     edge_threshold,
+    enumerate_threshold_sweep,
     evaluate,
     fault_tolerance_trial,
     is_hamiltonian,
@@ -196,3 +198,35 @@ class TestFaultTrials:
         assert rep.survived == 30
         g = new_complete(4, 3)
         assert evaluate(g).edge_count - rep.deletions >= edge_threshold(4, 3)
+
+
+class TestShapeErrors:
+    # Both entry points check the shape before any other argument but the
+    # fault trials' deletion count: the vertex cap first, then the parts,
+    # then the part size, each with graph.check_shape's class and message.
+    @pytest.mark.parametrize(
+        ("k", "n", "error", "message"),
+        [
+            (65, 1, TooLarge, "k*n=65 exceeds the bit-matrix cap 64"),
+            (1, 65, TooLarge, "k*n=65 exceeds the bit-matrix cap 64"),
+            (-8, -9, TooLarge, "k*n=72 exceeds the bit-matrix cap 64"),
+            (1, 3, InvalidGraph, "need at least 2 parts, got k=1"),
+            (0, 0, InvalidGraph, "need at least 2 parts, got k=0"),
+            (3, 0, InvalidGraph, "need at least 1 vertex per part, got n=0"),
+            (2, -1, InvalidGraph, "need at least 1 vertex per part, got n=-1"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda k, n: enumerate_threshold_sweep(k, n, min_edges=0),
+            lambda k, n: fault_tolerance_trial(k, n, deletions=10_000, trials=1, seed=1),
+            lambda k, n: fault_tolerance_trial(k, n, deletions=0, exhaustive=True),
+        ],
+        ids=["sweep", "faults-random", "faults-exhaustive"],
+    )
+    def test_shape_errors(self, entry, k, n, error, message):
+        with pytest.raises(error) as caught:
+            entry(k, n)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
