@@ -265,6 +265,14 @@ class TestClosure:
     # The all-pairs closure stalls on this graph, whose own edges already
     # form the cross-part start cycle 0, 2, 4, 1, 3, 5.
     @example(from_edge_list(3, 2, [(0, 2), (0, 5), (1, 3), (1, 4), (2, 4), (3, 5)]))
+    # Two graphs whose closure from the start 0, 1, ..., 5 mixes (A) and
+    # (B) joins: the second joins (2, 3) by (A), then (1, 3) by (B) at end 1.
+    @example(from_edge_list(2, 3, [
+        (0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+    ]))
+    @example(from_edge_list(3, 2, [
+        (0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4), (3, 4), (3, 5),
+    ]))
     def test_matches_restart_closure(self, g):
         # Below the threshold the closure often stops short or joins pairs
         # in an order that threshold inputs never reach; both must match

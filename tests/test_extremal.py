@@ -215,6 +215,7 @@ class TestShapeErrors:
             (3, 0, InvalidGraph, "need at least 1 vertex per part, got n=0"),
             (2, -1, InvalidGraph, "need at least 1 vertex per part, got n=-1"),
         ],
+        ids=["65x1", "1x65", "-8x-9", "1x3", "0x0", "3x0", "2x-1"],
     )
     @pytest.mark.parametrize(
         "entry",
