@@ -305,6 +305,34 @@ class TestClosure:
             else:
                 assert _closure_cycle(g.adj, cand, bound, start) == want
 
+    @pytest.mark.parametrize(
+        ("k", "n", "edges", "want"),
+        [
+            # at threshold
+            (2, 3, [(0, 3), (0, 4), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4),
+                    (2, 5)], (0, 3, 1, 5, 2, 4)),
+            # two edges below threshold
+            (3, 2, [(0, 2), (0, 3), (1, 2), (1, 4), (1, 5), (2, 4), (3, 4),
+                    (3, 5)], (0, 2, 4, 1, 5, 3)),
+        ],
+    )
+    def test_rewind_literal(self, k, n, edges, want):
+        # A lexicographic closure had to go back to an earlier row on these
+        # graphs. The gap-targeted closure joins by the start's gaps instead,
+        # so its join rows are out of ascending order here without a rewind
+        # (rows 1, 0, 3, 4, 5 and 2, 1, 0, 0, 5, 4), and it must still carry
+        # start back to the same cycle of g.
+        g = from_edge_list(k, n, edges)
+        count = g.num_vertices
+        full = (1 << count) - 1
+        cand = [full ^ (1 << u) for u in range(count)]
+        joins = []
+        start = list(range(count))
+        assert _restart_closure_cycle(g.adj, cand, count, start, joins) == want
+        rows = [u for u, _ in joins]
+        assert rows != sorted(rows)
+        assert _closure_cycle(g.adj, cand, count, list(start)) == want
+
     def test_join_order_literal(self):
         # Degrees 4 4 5 2 6 4 2 5 at bound 8, start 0, 1, ..., 7 with the
         # gaps (0, 1), (2, 3), (4, 5) and (6, 7). (A) joins (0, 1) and
