@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import partite_graphs, perm_hamiltonian
 import kpham.oracle
@@ -25,7 +26,7 @@ from kpham import (
     validate_hamilton_cycle,
 )
 from kpham.conditions import edge_threshold
-from kpham.graph import adjacency_from_edges
+from kpham.graph import adjacency_from_edges, bits
 from kpham.oracle import _BACKTRACK_BUDGET, _CARRIED_CYCLES, Counterexample, _Host
 from kpham.paths import canonical_cycle
 
@@ -43,6 +44,68 @@ TWO_K4 = adjacency_from_edges(
     7,
     [e for block in ((0, 1, 2, 3), (3, 4, 5, 6)) for e in combinations(block, 2)],
 )
+
+
+# ---- reference: the raw-row check as it stood in the oracle --------------
+#
+# Kept verbatim (renamed with a ref_ prefix) so that is_hamiltonian's check
+# of raw rows is held to the same errors and messages.
+
+
+def ref_check_rows(rows: tuple[int, ...]) -> None:
+    """Raise InvalidGraph unless rows form a simple undirected graph on
+    0..len(rows)-1: no bit outside that range, no self-loop, and u in
+    rows[v] exactly when v is in rows[u]. A KPartiteGraph's constructor
+    has already made these checks."""
+    count = len(rows)
+    full = (1 << count) - 1
+    for v, row in enumerate(rows):
+        if row & ~full:
+            raise InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
+        if row >> v & 1:
+            raise InvalidGraph(f"vertex {v} has a self-loop")
+        for u in bits(row):
+            if not rows[u] >> v & 1:
+                raise InvalidGraph(f"asymmetric adjacency between {u} and {v}")
+
+
+@st.composite
+def perturbed_rows(draw):
+    """A symmetric graph on 2..16 vertices, then 0..3 perturbations: a
+    flipped bit, a self-loop, a bit at N..N+70, or a negative row."""
+    count = draw(st.integers(2, 16))
+    pairs = list(combinations(range(count), 2))
+    rows = [0] * count
+    for u, v in draw(st.lists(st.sampled_from(pairs), unique=True)):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, count - 1))
+        kind = draw(st.sampled_from(["flip", "loop", "outside", "negative"]))
+        if kind == "flip":
+            rows[v] ^= 1 << draw(st.integers(0, count - 1))
+        elif kind == "loop":
+            rows[v] |= 1 << v
+        elif kind == "outside":
+            rows[v] |= 1 << draw(st.integers(count, count + 70))
+        else:
+            rows[v] = draw(st.integers(-(1 << count), -1))
+    return tuple(rows)
+
+
+def _raw_row_error(check, rows):
+    try:
+        check(rows)
+    except InvalidGraph as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(perturbed_rows())
+    def test_same_raw_row_errors(self, rows):
+        assert _raw_row_error(is_hamiltonian, rows) == _raw_row_error(ref_check_rows, rows)
 
 
 class TestDecision:
