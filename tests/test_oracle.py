@@ -238,6 +238,29 @@ class TestDecision:
         with pytest.raises(InvalidGraph, match=message):
             is_hamiltonian(rows, method=method)
 
+    @pytest.mark.parametrize(
+        "rows", [(), (0,), (0b10, 0b01)], ids=["empty", "lone-vertex", "one-edge"]
+    )
+    def test_degenerate_rows_answer_no(self, rows):
+        ans = is_hamiltonian(rows)
+        assert not ans.hamiltonian and ans.cycle is None
+        assert ans.nodes_expanded == 0
+
+    @pytest.mark.parametrize(
+        ("rows", "message"),
+        [
+            ((1,), "vertex 0 has a self-loop"),
+            ((2,), "vertex 0 has neighbors outside 0..0"),
+            ((-1,), "vertex 0 has neighbors outside 0..0"),
+            ((0b10, 0), "asymmetric adjacency between 1 and 0"),
+        ],
+        ids=["lone-loop", "lone-outside", "lone-negative", "two-asymmetric"],
+    )
+    def test_degenerate_rows_are_checked(self, rows, message):
+        with pytest.raises(InvalidGraph) as info:
+            is_hamiltonian(rows)
+        assert str(info.value) == message
+
     def test_min_degree_short_circuit(self):
         g, _ = remove_edges(new_complete(3, 2), [(0, 2), (0, 3), (0, 4)])
         ans = is_hamiltonian(g)
