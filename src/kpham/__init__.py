@@ -45,8 +45,6 @@ from .graph import (
     SIGMA_INFINITY,
     GraphStats,
     KPartiteGraph,
-    add_edge,
-    complement,
     from_edge_list,
     new_complete,
     remove_edges,
@@ -91,14 +89,12 @@ __all__ = [
     "SolveResult",
     "TooLarge",
     "TooSmall",
-    "add_edge",
     "canonical_cycle",
     "check_ore",
     "check_theorem2_edges",
     "check_theorem4_min_degree",
     "check_theorem5_sigma",
     "close_hamilton_path",
-    "complement",
     "edge_threshold",
     "enumerate_threshold_sweep",
     "evaluate",

@@ -4,7 +4,9 @@ Vertices are the integers 0..k*n-1 and part membership is positional:
 vertex v belongs to part v // n, so each part occupies a contiguous id
 block. Only cross-part edges are representable. Graphs are immutable
 values; every "mutation" returns a fresh copy, and equality is adjacency
-equality, so edge insertion order is never observable.
+equality, so edge insertion order is never observable. A simple graph on
+N >= 2 vertices is the n = 1 case, KPartiteGraph(N, 1, rows): each vertex
+is its own part.
 
 The adjacency matrix is stored as one Python int per vertex (bit j set
 iff j is a neighbor), which keeps all hot operations word-parallel at
@@ -235,29 +237,6 @@ def from_edge_list(k: int, n: int, edges: Iterable[tuple[int, int]]) -> KPartite
     return KPartiteGraph(k, n, tuple(rows))
 
 
-def complement(g: KPartiteGraph) -> KPartiteGraph:
-    """Complement within the complete multipartite host on the same parts."""
-    blocks = part_masks(g.k, g.n)
-    full = (1 << g.num_vertices) - 1
-    adj = tuple((full ^ blocks[v // g.n] ^ g.adj[v]) for v in range(g.num_vertices))
-    return KPartiteGraph(g.k, g.n, adj)
-
-
-def add_edge(g: KPartiteGraph, u: int, v: int) -> KPartiteGraph:
-    """Copy of g with the cross-part edge (u, v) added (idempotent)."""
-    count = g.num_vertices
-    if not (0 <= u < count and 0 <= v < count) or u == v:
-        raise InvalidGraph(f"cannot add edge ({u}, {v})")
-    if g.part_of(u) == g.part_of(v):
-        raise InvalidGraph(f"edge ({u}, {v}) would join two part-{g.part_of(u)} vertices")
-    if g.adjacent(u, v):
-        return g
-    rows = list(g.adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return KPartiteGraph(g.k, g.n, tuple(rows))
-
-
 def remove_edges(
     g: KPartiteGraph, edges: Iterable[tuple[int, int]]
 ) -> tuple[KPartiteGraph, int]:
@@ -299,25 +278,3 @@ def stats(g: KPartiteGraph) -> GraphStats:
         sigma=sigma,
         sigma_pair=sigma_pair,
     )
-
-
-# ---- general simple-graph helpers ----------------------------------------
-#
-# Several routines (degree-sum checkers, the oracle, path closure) operate on
-# arbitrary simple graphs, not just k-partite ones. They take a plain tuple of
-# neighbor bitmasks; KPartiteGraph.adj satisfies the same shape.
-
-
-def adjacency_from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Neighbor bitmasks for a general simple graph on 0..num_vertices-1."""
-    rows = [0] * num_vertices
-    for u, v in edges:
-        if not (0 <= u < num_vertices and 0 <= v < num_vertices) or u == v:
-            raise InvalidGraph(f"edge ({u}, {v}) invalid for {num_vertices} vertices")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return tuple(rows)
-
-
-def edge_count_of(adj: tuple[int, ...]) -> int:
-    return sum(row.bit_count() for row in adj) // 2

@@ -70,10 +70,11 @@ def is_hamiltonian(
     """Decide Hamiltonicity exactly, returning a witness cycle when one
     exists.
 
-    Accepts a partite graph or raw adjacency rows; raw rows that are not
-    a simple undirected graph on 0..len(rows)-1 (a bit out of range, a
-    self-loop, an asymmetric pair) raise InvalidGraph. method is "auto",
-    "backtracking", or "dp". "auto" runs backtracking under a budget of
+    Accepts a partite graph or raw adjacency rows. Raw rows are validated
+    as the n = 1 partite graph KPartiteGraph(len(rows), 1, rows), so rows
+    that are not a simple undirected graph on 0..len(rows)-1 (a bit out of
+    range, a self-loop, an asymmetric pair) raise InvalidGraph with its
+    messages. method is "auto", "backtracking", or "dp". "auto" runs backtracking under a budget of
     _BACKTRACK_BUDGET search nodes and falls back to dp only when the
     budget runs out; the other two run their procedure unbounded. The
     answer's method names the procedure that decided (never "auto"), and
@@ -94,7 +95,13 @@ def is_hamiltonian(
             f"{n_vertices} vertices exceeds the oracle cap of {ORACLE_VERTEX_CAP}"
         )
     if raw:
-        _check_rows(rows)
+        # A simple graph is the n = 1 partite graph; its constructor needs
+        # two parts, so a lone vertex is checked here.
+        if n_vertices > 1:
+            KPartiteGraph(n_vertices, 1, rows)
+        elif any(rows):
+            what = "a self-loop" if rows == (1,) else "neighbors outside 0..0"
+            raise InvalidGraph(f"vertex 0 has {what}")
     if method not in ("auto", "backtracking", "dp"):
         raise ValueError(f"unknown oracle method {method!r}")
     if carried is not None and is_hamilton_cycle(rows, carried):
@@ -119,23 +126,6 @@ def is_hamiltonian(
     if cycle is None:
         return OracleAnswer(False, None, decided_by, nodes)
     return OracleAnswer(True, canonical_cycle(cycle), decided_by, nodes)
-
-
-def _check_rows(rows: tuple[int, ...]) -> None:
-    """Raise InvalidGraph unless rows form a simple undirected graph on
-    0..len(rows)-1: no bit outside that range, no self-loop, and u in
-    rows[v] exactly when v is in rows[u]. A KPartiteGraph's constructor
-    has already made these checks."""
-    count = len(rows)
-    full = (1 << count) - 1
-    for v, row in enumerate(rows):
-        if row & ~full:
-            raise InvalidGraph(f"vertex {v} has neighbors outside 0..{count - 1}")
-        if row >> v & 1:
-            raise InvalidGraph(f"vertex {v} has a self-loop")
-        for u in bits(row):
-            if not rows[u] >> v & 1:
-                raise InvalidGraph(f"asymmetric adjacency between {u} and {v}")
 
 
 def _reach(rows: tuple[int, ...], start: int, allowed: int) -> int:

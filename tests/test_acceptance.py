@@ -29,7 +29,6 @@ from kpham import (
     validate_hamilton_cycle,
 )
 from kpham.cli import run
-from kpham.graph import adjacency_from_edges
 
 
 def _timed(fn, *args, **kwargs):

@@ -22,7 +22,6 @@ from kpham import (
     stats,
     tight_non_hamiltonian,
 )
-from kpham.graph import adjacency_from_edges
 
 
 @pytest.mark.parametrize(
@@ -86,7 +85,7 @@ class TestOre:
 
     def test_path_fails_with_first_witness(self):
         # path 0-1-2-3: nonadjacent pairs (0,2), (0,3), (1,3)
-        rows = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        rows = from_edge_list(4, 1, [(0, 1), (1, 2), (2, 3)]).adj
         ok, witness = check_ore(rows)
         assert not ok
         assert witness == (0, 2)

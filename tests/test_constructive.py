@@ -48,7 +48,6 @@ from kpham import (
 from kpham import constructive
 from kpham.conditions import meets_sigma_bound
 from kpham.constructive import TRACE_TAGS, _closure_cycle, _complete_closure
-from kpham.graph import adjacency_from_edges
 from kpham.oracle import is_hamiltonian
 
 # nine edges, min degree 2, yet vertices 0 and 2 both see exactly {4, 5},
@@ -80,15 +79,15 @@ class TestClosePath:
     def test_crossing_pair_rescue(self):
         # path 0-1-2-3-4-5 with chords making each end degree 3: ends stay
         # nonadjacent, so only the crossing pair at 0~2, 5~1 can close it
-        rows = adjacency_from_edges(
-            6,
+        rows = from_edge_list(
+            6, 1,
             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (0, 3), (1, 5), (2, 5)],
-        )
+        ).adj
         cyc = close_hamilton_path(rows, [0, 1, 2, 3, 4, 5])
         validate_hamilton_cycle(rows, cyc)
 
     def test_low_degree_sum_refused(self):
-        rows = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        rows = from_edge_list(4, 1, [(0, 1), (1, 2), (2, 3)]).adj
         with pytest.raises(HypothesisNotMet, match="degree sum"):
             close_hamilton_path(rows, [0, 1, 2, 3])
 
@@ -117,7 +116,7 @@ class TestClosePath:
             while len(edges) < want:
                 u, v = rng.sample(range(nv), 2)
                 edges.add((min(u, v), max(u, v)))
-            rows = adjacency_from_edges(nv, edges)
+            rows = from_edge_list(nv, 1, edges).adj
             degs = [r.bit_count() for r in rows]
             if degs[perm[0]] + degs[perm[-1]] < nv:
                 continue
@@ -131,7 +130,7 @@ class TestOreRotation:
         assert ore_build_cycle(g.adj) == (0, 1, 2)
 
     def test_witness_failure(self):
-        rows = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        rows = from_edge_list(4, 1, [(0, 1), (1, 2), (2, 3)]).adj
         with pytest.raises(HypothesisNotMet, match=r"\(0, 2\)"):
             ore_build_cycle(rows)
 
@@ -142,7 +141,7 @@ class TestOreRotation:
             nv = rng.randrange(4, 13)
             pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
             keep = rng.sample(pairs, int(len(pairs) * 0.8))
-            rows = adjacency_from_edges(nv, keep)
+            rows = from_edge_list(nv, 1, keep).adj
             degs = [r.bit_count() for r in rows]
             if any(
                 degs[u] + degs[v] < nv

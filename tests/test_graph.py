@@ -18,8 +18,6 @@ from kpham import (
     InvalidGraph,
     KPartiteGraph,
     TooLarge,
-    add_edge,
-    complement,
     from_edge_list,
     new_complete,
     remove_edges,
@@ -209,17 +207,6 @@ class TestValidation:
 
 
 class TestEditing:
-    def test_add_edge_idempotent(self):
-        g = from_edge_list(2, 2, [(0, 2)])
-        g2 = add_edge(g, 0, 3)
-        assert g2.edge_count == 2
-        assert add_edge(g2, 3, 0) == g2
-
-    def test_add_edge_rejects_intra(self):
-        g = new_complete(2, 2)
-        with pytest.raises(InvalidGraph):
-            add_edge(g, 0, 1)
-
     def test_remove_edges_reports_count(self):
         g = new_complete(2, 2)
         g2, removed = remove_edges(g, [(0, 2), (2, 0), (1, 3)])
@@ -228,14 +215,6 @@ class TestEditing:
         # absent edges are ignored, not an error
         g3, removed = remove_edges(g2, [(0, 2)])
         assert removed == 0 and g3 == g2
-
-    def test_complement_of_complete_is_empty(self):
-        g = new_complete(3, 2)
-        assert complement(g).edge_count == 0
-
-    def test_complement_involution(self):
-        g = from_edge_list(3, 2, [(0, 2), (1, 4), (3, 5)])
-        assert complement(complement(g)) == g
 
 
 class TestStats:
@@ -277,13 +256,6 @@ class TestStats:
     @given(partite_graphs())
     def test_degree_sum_is_twice_edges(self, g: KPartiteGraph):
         assert sum(g.degree(v) for v in range(g.num_vertices)) == 2 * g.edge_count
-
-    @settings(max_examples=120, deadline=None)
-    @given(partite_graphs())
-    def test_complement_splits_host(self, g: KPartiteGraph):
-        co = complement(g)
-        assert g.edge_count + co.edge_count == new_complete(g.k, g.n).edge_count
-        assert not set(g.edges()) & set(co.edges())
 
     @settings(max_examples=80, deadline=None)
     @given(partite_graphs())

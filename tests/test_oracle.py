@@ -26,24 +26,24 @@ from kpham import (
     validate_hamilton_cycle,
 )
 from kpham.conditions import edge_threshold
-from kpham.graph import adjacency_from_edges, bits
+from kpham.graph import bits
 from kpham.oracle import _BACKTRACK_BUDGET, _CARRIED_CYCLES, Counterexample, _Host
 from kpham.paths import canonical_cycle
 
-PETERSEN = adjacency_from_edges(
-    10,
+PETERSEN = from_edge_list(
+    10, 1,
     [
         (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
         (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
         (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
     ],
-)
+).adj
 
 # two K4s sharing vertex 3: connected, minimum degree 3, but a cut vertex
-TWO_K4 = adjacency_from_edges(
-    7,
+TWO_K4 = from_edge_list(
+    7, 1,
     [e for block in ((0, 1, 2, 3), (3, 4, 5, 6)) for e in combinations(block, 2)],
-)
+).adj
 
 
 # ---- reference: the raw-row check as it stood in the oracle --------------
@@ -110,11 +110,11 @@ class TestMatchesReference:
 
 class TestDecision:
     def test_c6_and_broken_c6(self):
-        c6 = adjacency_from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        c6 = from_edge_list(6, 1, [(i, (i + 1) % 6) for i in range(6)]).adj
         ans = is_hamiltonian(c6)
         assert ans.hamiltonian
         validate_hamilton_cycle(c6, ans.cycle)
-        broken = adjacency_from_edges(6, [(i, i + 1) for i in range(5)])
+        broken = from_edge_list(6, 1, [(i, i + 1) for i in range(5)]).adj
         ans = is_hamiltonian(broken)
         assert not ans.hamiltonian and ans.cycle is None
 
@@ -269,9 +269,9 @@ class TestDecision:
 
     def test_disconnected_short_circuit(self):
         # two triangles sharing no vertex
-        rows = adjacency_from_edges(
-            6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        )
+        rows = from_edge_list(
+            6, 1, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        ).adj
         ans = is_hamiltonian(rows)
         assert not ans.hamiltonian
         assert ans.nodes_expanded == 0
@@ -578,7 +578,7 @@ class TestIndependence:
         }
         # the decision procedures, the carried-cycle keeper, and every
         # function of the module they reach
-        todo = ["is_hamiltonian", "_check_rows", "_reach", "_backtrack", "_held_karp", "_Host"]
+        todo = ["is_hamiltonian", "_reach", "_backtrack", "_held_karp", "_Host"]
         seen = set()
         while todo:
             name = todo.pop()
