@@ -73,10 +73,10 @@ def is_hamiltonian(
     Accepts a partite graph or raw adjacency rows. Raw rows are validated
     as the n = 1 partite graph KPartiteGraph(len(rows), 1, rows), so rows
     that are not a simple undirected graph on 0..len(rows)-1 (a bit out of
-    range, a self-loop, an asymmetric pair) raise InvalidGraph with its
-    messages. method is "auto", "backtracking", or "dp". "auto" runs backtracking under a budget of
-    _BACKTRACK_BUDGET search nodes and falls back to dp only when the
-    budget runs out; the other two run their procedure unbounded. The
+    range, a self-loop, an asymmetric pair) raise its InvalidGraph. method
+    is "auto", "backtracking", or "dp". "auto" runs backtracking under a
+    budget of _BACKTRACK_BUDGET search nodes and falls back to dp only when
+    the budget runs out; the other two run their procedure unbounded. The
     answer's method names the procedure that decided (never "auto"), and
     nodes_expanded counts the nodes of every procedure that ran, spent
     budget included. Raises TooLarge past ORACLE_VERTEX_CAP vertices: the
