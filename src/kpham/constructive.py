@@ -110,12 +110,15 @@ def _close(rows: Sequence[int], path: Sequence[int]) -> Sequence[int]:
     raise ConstructionFailed("no crossing pair despite the degree bound")
 
 
-def _open_at(cycle: Sequence[int], u: int, v: int) -> Sequence[int]:
-    """The Hamilton path from u to v left by dropping the cycle edge (u, v)."""
+def _open_at(cycle: Sequence[int], u: int, v: int) -> Sequence[int] | None:
+    """The Hamilton path from u to v left by dropping the cycle edge (u, v),
+    or None when (u, v) is not an edge of the cycle."""
     i = cycle.index(u)
     if cycle[i - 1] == v:
         return cycle[i:] + cycle[:i]
-    return cycle[i::-1] + cycle[:i:-1]
+    if cycle[(i + 1) % len(cycle)] == v:
+        return cycle[i::-1] + cycle[:i:-1]
+    return None
 
 
 def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, ...]:
@@ -176,7 +179,11 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 
 
 def _closure_cycle(
-    adj: Sequence[int], cand: Sequence[int], bound: int, start: Sequence[int]
+    adj: Sequence[int],
+    cand: Sequence[int],
+    bound: int,
+    start: Sequence[int],
+    joins: list[tuple[int, int]] | None = None,
 ) -> tuple[int, ...]:
     """Close adj over the candidate pairs until start is a cycle of the
     closed graph, then unwind start onto adj.
@@ -196,63 +203,76 @@ def _closure_cycle(
     needs only that start is a Hamilton cycle of the closed graph. Only
     (A) joins a start edge, since an absent start edge that qualifies is
     taken there. start is then carried back by removing the added edges in
-    reverse order and rerouting around each one it uses. Raises
+    reverse order and rerouting around each one it uses (_open_at finds u
+    on the running cycle and tells whether v is beside it). Raises
     ConstructionFailed when no pair qualifies with an edge of start still
     absent, or when a reroute finds no crossing pair (see _close).
 
-    pos[w] is w's place on the running cycle, so a virtual edge off the
-    cycle costs O(1) to recognise in the unwind. start is read, never
-    changed, so callers may pass a shared tuple (the per-shape
-    _host_cycle). It visits every vertex once, so one pass over it sets up
-    pos and the absent start edges, each edge seen from its later end.
+    (B) and (C) test a whole row at once. reach[d] masks the vertices of
+    degree at least d; it is built at the first (B) or (C) step and then
+    kept by two ORs per join, since a join raises two degrees by one. Row
+    u's qualifying partners are cand[u] & ~rows[u] & reach[max(0, bound -
+    deg[u])], and the lowest set bit is the partner an ascending scan of
+    the row would meet first; each scanned row reads cand once.
+
+    One pass over start finds the absent start edges, each seen from its
+    later end; when there are none, start is the answer and no degree is
+    counted. start is read, never changed, so callers may pass a shared
+    tuple (the per-shape _host_cycle). joins, when given, must be an empty
+    list; it receives each join as it is made, so tests can compare the
+    join order, a stall's included.
     """
-    rows = list(adj)
-    count = len(rows)
-    deg = [row.bit_count() for row in rows]
-    pos = [0] * count
     gaps = []
     prev = start[-1]
-    for i, w in enumerate(start):
-        pos[w] = i
-        if not rows[w] >> prev & 1:
+    for w in start:
+        if not adj[w] >> prev & 1:
             gaps.append((prev, w))
         prev = w
-    everyone = (1 << count) - 1
-    added: list[tuple[int, int]] = []
+    if not gaps:
+        return canonical_cycle(start)
+    rows = list(adj)
+    count = len(rows)
+    deg = list(map(int.bit_count, rows))
+    reach: list[int] = []
+    added = [] if joins is None else joins
     while gaps:
-        pair = next(((u, v) for u, v in gaps if deg[u] + deg[v] >= bound), None)
-        if pair is not None:
-            gaps.remove(pair)
+        for pair in gaps:
+            if deg[pair[0]] + deg[pair[1]] >= bound:
+                gaps.remove(pair)
+                break
         else:
+            if not reach:
+                reach = [0] * (count + bound + 1)
+                for w, d in enumerate(deg):
+                    reach[d] |= 1 << w
+                for d in range(count, -1, -1):
+                    reach[d] |= reach[d + 1]
             ends = 0
             for u, v in gaps:
                 ends |= 1 << u | 1 << v
-            pair = next(
-                (
-                    (u, v)
-                    for u in chain(bits(ends), bits(everyone ^ ends))
-                    for v in bits(cand[u] & ~rows[u])
-                    if deg[u] + deg[v] >= bound
-                ),
-                None,
-            )
-            if pair is None:
+            for u in chain(bits(ends), bits(((1 << count) - 1) ^ ends)):
+                partners = cand[u] & ~rows[u] & reach[max(0, bound - deg[u])]
+                if partners:
+                    pair = u, next(bits(partners))
+                    break
+            else:
                 raise ConstructionFailed("degree-sum closure did not complete")
         u, v = pair
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         deg[u] += 1
         deg[v] += 1
+        if reach:
+            reach[deg[u]] |= 1 << u
+            reach[deg[v]] |= 1 << v
         added.append(pair)
-    on_cycle = (1, count - 1)
     cycle = start
     for u, v in reversed(added):
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        if (pos[u] - pos[v]) % count in on_cycle:
-            cycle = _close(rows, _open_at(cycle, u, v))
-            for i, w in enumerate(cycle):
-                pos[w] = i
+        path = _open_at(cycle, u, v)
+        if path is not None:
+            cycle = _close(rows, path)
     return canonical_cycle(cycle)
 
 

@@ -15,10 +15,13 @@ desk scale. MAX_VERTICES caps k*n.
 The constructor makes one test per row against a per-shape forbidden mask
 (every bit outside 0..k*n-1, plus the row's own part, which holds the vertex
 itself), and checks symmetry on the whole matrix at once: it packs the rows
-into one int of W bits per row (W the next power of two >= k*n, at least 8;
-rows masked to the k*n vertex bits when some row fails its mask test),
-transposes that with log2(W) delta-swaps, and reads the first asymmetric
-pair off the lowest set bit of packed & ~transposed.
+into one int of W bits per row (W the next power of two >= k*n), as
+sum(map(lshift, rows, shifts)) with row v shifted up by v*W (rows masked to
+the k*n vertex bits first when some row fails its mask test), transposes
+that with log2(W) delta-swaps, and reads the first asymmetric pair off the
+lowest set bit of packed & ~transposed. One cached layout per shape
+(_layout) holds the vertex count, W, the forbidden masks, the row shifts and
+the delta-swaps, so a construction makes one cache lookup for all of them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_
+from operator import and_, lshift
 from typing import Iterable, Iterator
 
 from .errors import InvalidGraph, TooLarge
@@ -55,38 +58,29 @@ def part_masks(k: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _forbidden_masks(k: int, n: int) -> tuple[int, ...]:
-    """Per row, the bits no row of that vertex may hold: every bit outside
-    0..k*n-1 (a negative int) and the vertex's own part block, which holds
-    the vertex itself."""
-    outside = ~((1 << (k * n)) - 1)
-    return tuple(outside | block for block in part_masks(k, n) for _ in range(n))
+def _layout(k: int, n: int) -> tuple:
+    """The constructor's per-shape constants, after check_shape, which on a
+    bad shape raises and leaves nothing cached: (count, width, forbidden,
+    shifts, steps). count = k*n rows of width bits each are packed into one
+    int, row v shifted up by shifts[v] = v*width.
 
-
-@lru_cache(maxsize=None)
-def _transpose_steps(width: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) delta-swaps that transpose a width x width bit matrix
-    packed row-major into one int (bit r*width + c holds entry (r, c)).
-
-    The step for bit j of the indices swaps every entry (r, c) whose r has
-    bit j clear and c has it set with (r + j, c - j), which sits
-    j*(width - 1) bits higher; doing this for every j swaps r and c."""
+    forbidden[v] is every bit outside 0..count-1 (a negative int) plus v's
+    own part block, which holds v itself. steps are the (shift, mask)
+    delta-swaps that transpose the packed matrix (bit r*width + c holds
+    entry (r, c)): the step for bit j of the indices swaps every entry
+    (r, c) whose r has bit j clear and c has it set with (r + j, c - j),
+    which sits j*(width - 1) bits higher, and the steps for all j together
+    swap r and c."""
+    check_shape(k, n)
+    count = k * n
+    width = 1 << (count - 1).bit_length()
     steps = []
-    j = width // 2
-    while j:
+    for j in (1 << t for t in range(width.bit_length() - 1)):
         cols = sum(1 << c for c in range(width) if c & j)
         mask = sum(cols << (r * width) for r in range(width) if not r & j)
         steps.append((j * (width - 1), mask))
-        j //= 2
-    return tuple(steps)
-
-
-def _transpose(packed: int, width: int) -> int:
-    """Transpose of a packed square bit matrix (see _transpose_steps)."""
-    for shift, mask in _transpose_steps(width):
-        swap = ((packed >> shift) ^ packed) & mask
-        packed ^= swap ^ (swap << shift)
-    return packed
+    forbidden = tuple(-1 << count | block for block in part_masks(k, n) for _ in range(n))
+    return count, width, forbidden, tuple(range(0, count * width, width)), tuple(steps)
 
 
 def check_shape(k: int, n: int) -> None:
@@ -125,14 +119,15 @@ class KPartiteGraph:
     the whole contract (symmetry, no loops, no intra-part edges), so any
     held instance is structurally sound.
 
-    Each row gets one test against its forbidden mask (see
-    _forbidden_masks), and the packed transpose (see the module docstring)
-    finds the first asymmetric bit, row v and column u: the pair an
-    edge-by-edge scan of row v in ascending u would meet first. Errors name
-    the first bad row, and within it the first of the range, self-loop,
-    intra-part and asymmetry tests that fails; only that row runs them, to
-    build the message. An asymmetry is reported as "asymmetric adjacency
-    between {u} and {v}".
+    One _layout lookup gives the shape's constants. Each row gets one test
+    against its forbidden mask, and the rows are packed by shifted addition
+    (their bits never overlap once each row is inside 0..k*n-1); the packed
+    transpose (see the module docstring) then finds the first asymmetric
+    bit, row v and column u: the pair an edge-by-edge scan of row v in
+    ascending u would meet first. Errors name the first bad row, and within
+    it the first of the range, self-loop, intra-part and asymmetry tests
+    that fails; only that row runs them, to build the message. An asymmetry
+    is reported as "asymmetric adjacency between {u} and {v}".
     """
 
     k: int
@@ -140,22 +135,21 @@ class KPartiteGraph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_shape(self.k, self.n)
-        count = self.k * self.n
+        count, width, forbidden, shifts, steps = _layout(self.k, self.n)
         if len(self.adj) != count:
             raise InvalidGraph(f"adjacency has {len(self.adj)} rows, expected {count}")
-        forbidden = _forbidden_masks(self.k, self.n)
         clean = not any(map(and_, self.adj, forbidden))
         full = (1 << count) - 1
         # A row with bits outside 0..count-1 is masked before it is packed,
         # so that no bit spills into the next row's slot; the range test
         # below names it.
-        width = max(8, 1 << (count - 1).bit_length())
         rows = self.adj if clean else [row & full for row in self.adj]
-        packed = int.from_bytes(
-            b"".join([row.to_bytes(width // 8, "little") for row in rows]), "little"
-        )
-        lonely = packed & ~_transpose(packed, width)
+        packed = sum(map(lshift, rows, shifts))
+        transposed = packed
+        for shift, mask in steps:
+            swap = ((transposed >> shift) ^ transposed) & mask
+            transposed ^= swap ^ (swap << shift)
+        lonely = packed & ~transposed
         if clean and not lonely:
             return
         first = (lonely & -lonely).bit_length() - 1  # -1, in no row, if none
@@ -177,18 +171,6 @@ class KPartiteGraph:
     @property
     def num_vertices(self) -> int:
         return self.k * self.n
-
-    def part_of(self, v: int) -> int:
-        return v // self.n
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(bits(self.adj[v]))
 
     @property
     def edge_count(self) -> int:

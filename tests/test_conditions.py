@@ -97,18 +97,18 @@ class TestOre:
     @settings(max_examples=150, deadline=None)
     @given(partite_graphs(min_n=2))
     def test_matches_naive(self, g):
-        degs = [g.degree(v) for v in range(g.num_vertices)]
+        degs = [row.bit_count() for row in g.adj]
         expected = all(
             degs[u] + degs[v] >= g.num_vertices
             for u in range(g.num_vertices)
             for v in range(u + 1, g.num_vertices)
-            if not g.adjacent(u, v)
+            if not g.adj[u] >> v & 1
         )
         ok, witness = check_ore(g.adj)
         assert ok == expected
         if not ok:
             u, v = witness
-            assert not g.adjacent(u, v)
+            assert not g.adj[u] >> v & 1
             assert degs[u] + degs[v] < g.num_vertices
 
 
@@ -199,5 +199,5 @@ class TestEvaluate:
         rep = evaluate(g)
         if not rep.meets_theorem5_sigma:
             u, v = rep.violations["theorem5_sigma"]
-            assert g.degree(u) + g.degree(v) == rep.sigma
-            assert not g.adjacent(u, v)
+            assert g.adj[u].bit_count() + g.adj[v].bit_count() == rep.sigma
+            assert not g.adj[u] >> v & 1

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import golden_cases
@@ -371,6 +371,16 @@ class TestClosure:
         with pytest.raises(ConstructionFailed, match=self.STALL):
             _closure_cycle(g.adj, [part1] * n + [part0] * n, n + 1, alternating)
 
+    @pytest.mark.parametrize("start", [(0, 3, 1, 4, 2, 5), (4, 1, 3, 0, 5, 2)])
+    def test_gap_free_start(self, start):
+        # The graph is the start cycle itself, so no join is made and no
+        # candidate row is read; the second start is not in canonical form.
+        ring = zip(start, start[1:] + start[:1])
+        g = from_edge_list(2, 3, ring)
+        cand = _CountingList([0b111000] * 3 + [0b000111] * 3)
+        assert _closure_cycle(g.adj, cand, 4, start) == canonical_cycle(start)
+        assert cand.reads == 0
+
     @pytest.mark.parametrize(("k", "n"), [(4, 16), (3, 21)])
     @pytest.mark.parametrize("family", ["rand", "hub"])
     def test_work_bound(self, k, n, family):
@@ -393,24 +403,30 @@ class TestClosure:
         assert cand.reads <= 4 * joins + 3 * count, cand.reads
 
 
+def _hub_graph(k: int, n: int, rng: random.Random):
+    """A threshold graph spending the whole deletion budget (k-1)n - 2 on
+    edges at 1-3 hub vertices, drawn as perfbench/run.py's adversarial
+    draws it."""
+    budget = (k - 1) * n - 2
+    hubs = rng.sample(range(k * n), rng.randint(1, 3))
+    cuts = sorted(rng.sample(range(1, budget), len(hubs) - 1))
+    dropped = set()
+    for hub, a, b in zip(hubs, [0, *cuts], [*cuts, budget]):
+        incident = [(min(hub, w), max(hub, w)) for w in range(k * n) if w // n != hub // n]
+        dropped.update(rng.sample([e for e in incident if e not in dropped], b - a))
+    return remove_edges(new_complete(k, n), sorted(dropped))[0]
+
+
 def _solve_n64_instances(seed: int):
     """(family, graph) for the solve-n64 benchmark instances of a seed, as
     perfbench/run.py draws them: 12 rounds over seven shapes near 64
-    vertices, a rand and a hub graph each. A hub graph spends the whole
-    deletion budget (k-1)n - 2 on edges at 1-3 hub vertices."""
+    vertices, a rand and a hub graph each."""
     rng = random.Random(seed)
     shapes = ((2, 32), (4, 16), (8, 8), (16, 4), (32, 2), (3, 21), (64, 1))
     for _ in range(12):
         for k, n in shapes:
             yield "rand", random_graph_at_edge_count(k, n, edge_threshold(k, n), rng)
-            budget = (k - 1) * n - 2
-            hubs = rng.sample(range(k * n), rng.randint(1, 3))
-            cuts = sorted(rng.sample(range(1, budget), len(hubs) - 1))
-            dropped = set()
-            for hub, a, b in zip(hubs, [0, *cuts], [*cuts, budget]):
-                incident = [(min(hub, w), max(hub, w)) for w in range(k * n) if w // n != hub // n]
-                dropped.update(rng.sample([e for e in incident if e not in dropped], b - a))
-            yield "hub", remove_edges(new_complete(k, n), sorted(dropped))[0]
+            yield "hub", _hub_graph(k, n, rng)
 
 
 def _route_closure(g):
@@ -426,7 +442,52 @@ def _route_closure(g):
     return [full ^ (1 << u) for u in range(count)], count, start
 
 
+@st.composite
+def _hub_closures(draw):
+    """(graph, bound): a hub graph on 6 to 64 vertices, with room for three
+    hubs in its budget, and a bound near its route's. n is drawn down from
+    the largest that fits, so most shapes sit near the cap."""
+    k = draw(st.integers(2, 32))
+    n = MAX_VERTICES // k - draw(st.integers(0, MAX_VERTICES // k - 1))
+    assume((k - 1) * n >= 5)
+    g = _hub_graph(k, n, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return g, _route_closure(g)[1] + draw(st.integers(-4, 1))
+
+
 class TestJoinCounts:
+    @settings(max_examples=150, deadline=None)
+    @given(_hub_closures())
+    # (C) joins (3, 5) while deg[3] = 7 passes the bound 6, so row 3's
+    # partners come from reach[0]: every open candidate.
+    @example((from_edge_list(3, 3, [
+        (0, 3), (1, 3), (2, 3), (2, 4), (2, 5), (3, 6), (4, 6), (5, 8),
+    ]), 6))
+    # At bound 7 on 6 vertices the one gap (3, 4) sums to 6 and every row's
+    # partner mask is empty at the first (B) step.
+    @example((_hub_graph(6, 1, random.Random(463)), 7))
+    def test_hub_graphs_match_restart_closure(self, case):
+        # The route's cand and start with the bound moved by up to 4 below
+        # and 1 above: the join list and the cycle, or the error, match
+        # _restart_closure_cycle, which rescans after every join.
+        g, bound = case
+        cand, _, start = _route_closure(g)
+        want_joins, joins = [], []
+        want = _restart_closure_cycle(g.adj, cand, bound, start, want_joins)
+        if want is None:
+            closed = list(g.adj)
+            for u, v in want_joins:
+                closed[u] |= 1 << v
+                closed[v] |= 1 << u
+            ring = zip(start, start[1:] + start[:1])
+            stalled = any(not closed[u] >> v & 1 for u, v in ring)
+            with pytest.raises(
+                ConstructionFailed, match=TestClosure.STALL if stalled else "no crossing pair"
+            ):
+                _closure_cycle(g.adj, cand, bound, start, joins)
+        else:
+            assert _closure_cycle(g.adj, cand, bound, start, joins) == want
+        assert joins == want_joins
+
     def test_solve_n64_family_totals(self):
         # solve() closes each benchmark instance with the reference's joins:
         # 154 over the 84 rand graphs and 766 over the 84 hub graphs of
@@ -668,7 +729,7 @@ class TestSolveTheorem11:
             if rng.random() >= 0.2:
                 continue
             g = from_edge_list(3, 3, combo)
-            if min(g.degree(v) for v in range(9)) < 2:
+            if min(map(int.bit_count, g.adj)) < 2:
                 continue
             r = solve_theorem11(g)
             validate_hamilton_cycle(g.adj, r.cycle)
@@ -682,7 +743,7 @@ class TestSolveTheorem11:
         # exhaustive search takes over 20 s from n = 8 on.
         g = _adversarial_one_short(n)
         assert g.edge_count == edge_threshold(3, n) - 1
-        assert min(g.degree(v) for v in range(3 * n)) == 2
+        assert min(map(int.bit_count, g.adj)) == 2
         r = solve_theorem11(g)
         validate_hamilton_cycle(g.adj, r.cycle)
         assert "SearchFallback" not in r.trace
@@ -696,7 +757,7 @@ class TestSolveTheorem11:
         # each Hamiltonian one, and only the non-Hamiltonian ones search.
         checked = searched = 0
         for g in all_subsets_of_size(k, n, edge_threshold(k, n) - 1):
-            if min(g.degree(v) for v in range(k * n)) < 2:
+            if min(map(int.bit_count, g.adj)) < 2:
                 continue
             r = solve_theorem11(g)
             truth = is_hamiltonian(g).hamiltonian
@@ -719,7 +780,7 @@ class TestSolveTheorem11:
         checked = negatives = 0
         for drop in combinations(hedges, 3):
             g, _ = remove_edges(host, drop)
-            if min(g.degree(v) for v in range(6)) < 2:
+            if min(map(int.bit_count, g.adj)) < 2:
                 continue
             truth = is_hamiltonian(g).hamiltonian
             r = solve_theorem11(g)

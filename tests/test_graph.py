@@ -23,7 +23,7 @@ from kpham import (
     remove_edges,
     stats,
 )
-from kpham.graph import check_shape
+from kpham.graph import bits, check_shape, part_masks
 
 
 class TestConstruction:
@@ -31,8 +31,8 @@ class TestConstruction:
         g = new_complete(3, 2)
         assert g.num_vertices == 6
         assert g.edge_count == 12  # C(3,2) * 2 * 2
-        assert all(g.degree(v) == 4 for v in range(6))
-        assert g.part_of(0) == 0 and g.part_of(3) == 1 and g.part_of(5) == 2
+        assert all(row.bit_count() == 4 for row in g.adj)
+        assert part_masks(3, 2) == (0b000011, 0b001100, 0b110000)
 
     def test_complete_edge_count_formula(self):
         for k in range(2, 6):
@@ -255,7 +255,7 @@ class TestStats:
     @settings(max_examples=120, deadline=None)
     @given(partite_graphs())
     def test_degree_sum_is_twice_edges(self, g: KPartiteGraph):
-        assert sum(g.degree(v) for v in range(g.num_vertices)) == 2 * g.edge_count
+        assert sum(row.bit_count() for row in g.adj) == 2 * g.edge_count
 
     @settings(max_examples=80, deadline=None)
     @given(partite_graphs())
@@ -267,6 +267,6 @@ class TestStats:
     @given(partite_graphs())
     def test_neighbors_agree_with_adjacent(self, g: KPartiteGraph):
         for v in range(g.num_vertices):
-            nbrs = g.neighbors(v)
-            assert len(nbrs) == g.degree(v)
-            assert all(g.adjacent(v, w) and g.adjacent(w, v) for w in nbrs)
+            nbrs = list(bits(g.adj[v]))
+            assert len(nbrs) == g.adj[v].bit_count()
+            assert all(g.adj[v] >> w & 1 and g.adj[w] >> v & 1 for w in nbrs)
