@@ -8,16 +8,18 @@ and produces a Hamilton cycle by the route matching the instance shape:
 * k == 2          degree-sum closure over cross pairs at bound n + 1
 * k >= 3, n >= 2  degree-sum closure over all pairs at bound N, complete
                   because the edge bound implies Chvatal's degree-sequence
-                  condition (see _solve_multi)
+                  condition (see _route)
 
 solve_theorem11 runs the same routes on graphs one edge below the threshold
 with every degree at least 2.
 
-Every branch records a tag in SolveResult.trace. A route that runs out of
-admissible moves raises ConstructionFailed; _construct catches it in one
-place, falls back to exhaustive search, tags the trace with SearchFallback,
-and logs the reason and the instance at INFO, so the gap rate between
-guaranteed hypotheses and realized constructions stays measurable.
+Each route is one cached record per shape (_route): the candidate pairs,
+the bound, the start cycle and the two traces it may return. When the
+closure runs out of admissible moves it raises ConstructionFailed;
+_construct catches it in one place, falls back to exhaustive search,
+returns the route's dead-end trace, which ends in SearchFallback, and logs
+the reason and the instance at INFO, so the gap rate between guaranteed
+hypotheses and realized constructions stays measurable.
 
 Determinism contract: every choice follows a fixed order of vertex ids. The
 closure joins absent start edges in start order, then pairs at their lowest
@@ -71,8 +73,7 @@ class SolveResult:
     """Outcome of one solve call.
 
     cycle is a canonical Hamilton cycle or None; trace lists the branch
-    tags in execution order (recursive calls flattened in place); failure
-    names the reason when cycle is None.
+    tags in execution order; failure names the reason when cycle is None.
     """
 
     cycle: tuple[int, ...] | None
@@ -165,17 +166,17 @@ def close_hamilton_path(adj: Sequence[int], path: Sequence[int]) -> tuple[int, .
 # graphs whose full closure lacks a start edge, whatever the order.
 #
 # One routine serves all three closure routes, each started from the host
-# cycle that visits the parts in turn (_host_cycle). It uses only cross-part
-# edges, so the joins stop well before the closure is complete. The n == 1
-# route and the multipartite route (n == 2 and general) may join any pair
-# at bound N; at n == 1 the start is 0, 1, ..., N-1, and the degree-sum
-# condition lets every nonadjacent pair join from the first step, so the
-# closure always reaches it. The k == 2 route joins only cross pairs at
-# bound n + 1, and its start is the alternating cycle of the complete
-# bipartite graph: on a balanced bipartite graph a Hamilton path left
-# by deleting a cross edge from a Hamilton cycle alternates parts, and ends
-# with degree sum >= n + 1 always admit a crossing pair, so the unwind is
-# safe at that lower bound.
+# cycle that visits the parts in turn (the start of _route). It uses only
+# cross-part edges, so the joins stop well before the closure is complete.
+# The n == 1 route and the multipartite route (n == 2 and general) may join
+# any pair at bound N; at n == 1 the start is 0, 1, ..., N-1, and the
+# degree-sum condition lets every nonadjacent pair join from the first
+# step, so the closure always reaches it. The k == 2 route joins only cross
+# pairs at bound n + 1, and its start is the alternating cycle of the
+# complete bipartite graph: on a balanced bipartite graph a Hamilton path
+# left by deleting a cross edge from a Hamilton cycle alternates parts, and
+# ends with degree sum >= n + 1 always admit a crossing pair, so the unwind
+# is safe at that lower bound.
 
 
 def _closure_cycle(
@@ -218,9 +219,9 @@ def _closure_cycle(
     One pass over start finds the absent start edges, each seen from its
     later end; when there are none, start is the answer and no degree is
     counted. start is read, never changed, so callers may pass a shared
-    tuple (the per-shape _host_cycle). joins, when given, must be an empty
-    list; it receives each join as it is made, so tests can compare the
-    join order, a stall's included.
+    tuple (the start of the per-shape _route). joins, when given, must be
+    an empty list; it receives each join as it is made, so tests can
+    compare the join order, a stall's included.
     """
     gaps = []
     prev = start[-1]
@@ -277,60 +278,30 @@ def _closure_cycle(
 
 
 @lru_cache(maxsize=None)
-def _host_cycle(k: int, n: int) -> tuple[int, ...]:
-    """The cycle of the k-partite host that visits the parts in turn,
+def _route(k: int, n: int) -> tuple:
+    """The closure route for the shape (k, n), as one cached record
+    (trace, dead_end_trace, cand, bound, start), the first match in this
+    order:
+
+    * n == 1: every pair may join at bound N; trace BaseN1, OreRotation.
+    * k == 2: only cross pairs may join, at bound n + 1; trace BaseK2,
+      LemmaClosure.
+    * k >= 3, n >= 2: every pair may join at bound N; trace BaseN2,
+      LemmaClosure at n == 2 and LemmaClosure alone otherwise.
+
+    start is the cycle of the k-partite host that visits the parts in turn,
     0, n, 2n, ..., 1, n + 1, ...: it uses only cross-part edges, and at
-    n == 1 it is 0, 1, ..., k-1."""
-    return tuple(p * n + i for i in range(n) for p in range(k))
+    n == 1 it is 0, 1, ..., k-1. dead_end_trace is trace with its last tag
+    replaced by SearchFallback: the trace when the closure raises
+    ConstructionFailed and the search decides. The shape is not checked,
+    since ore_build_cycle asks for the n == 1 route of a simple graph of
+    any size.
 
+    n == 1. solve() has required edge_threshold(k, 1) = C(k-1, 2) + 2
+    edges, which is Theorem 2's bound at N = k: every nonadjacent pair sums
+    to at least N, so the closure completes without ore_build_cycle's check.
 
-@lru_cache(maxsize=None)
-def _other_masks(count: int) -> tuple[int, ...]:
-    """cand for the all-pairs closure on count vertices: row u may join
-    every other vertex."""
-    full = (1 << count) - 1
-    return tuple(full ^ (1 << u) for u in range(count))
-
-
-def _complete_closure(adj: Sequence[int], n: int = 1) -> tuple[int, ...]:
-    """All-pairs closure at bound N, started from the host cycle of the
-    n-balanced parts of adj (0, 1, ..., N-1 at n == 1); see _closure_cycle
-    for the ConstructionFailed it raises."""
-    count = len(adj)
-    return _closure_cycle(adj, _other_masks(count), count, _host_cycle(count // n, n))
-
-
-def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
-    """Build a Hamilton cycle in a graph satisfying the all-pairs degree-sum
-    condition (every nonadjacent u, v has degree sum >= N).
-
-    Under that condition every nonadjacent pair qualifies for the all-pairs
-    closure at bound N from the first step, so the closure reaches the start
-    cycle 0, 1, ..., N-1, and its unwind carries that cycle back onto adj.
-    """
-    ok, witness = check_ore(adj)
-    if not ok:
-        raise HypothesisNotMet(f"degree-sum condition fails at pair {witness}")
-    return _complete_closure(adj)
-
-
-# =====================================================================
-# solve dispatch
-# =====================================================================
-
-
-def _solve_n1(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
-    trace.append(BASE_N1)
-    # solve() has required edge_threshold(k, 1) = C(k-1, 2) + 2 edges, which
-    # is Theorem 2's bound at N = k: every nonadjacent pair sums to at least
-    # N, so the closure completes without ore_build_cycle's check.
-    cyc = _complete_closure(g.adj)
-    trace.append(ORE_ROTATION)
-    return cyc
-
-
-def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
-    """k == 2: the cross-pair closure at bound n + 1, which the edge
+    k == 2: the cross-pair closure at bound n + 1, which the edge
     threshold makes complete.
 
     At the threshold n^2 - n + 2 of the n^2 cross edges are present, so
@@ -348,17 +319,8 @@ def _solve_k2(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     edges would share an end; in a bipartite graph that makes them a star,
     whose centre has degree n - (n - 1) = 1 < 2. So one pair joins, then
     D <= n - 2 and every remaining pair joins as above.
-    """
-    trace.append(BASE_K2)
-    n = g.n
-    part0, part1 = part_masks(2, n)
-    cyc = _closure_cycle(g.adj, [part1] * n + [part0] * n, n + 1, _host_cycle(2, n))
-    trace.append(LEMMA_CLOSURE)
-    return cyc
 
-
-def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
-    """k >= 3, n >= 2: the all-pairs closure at bound N, which the edge
+    k >= 3, n >= 2: the all-pairs closure at bound N, which the edge
     threshold makes complete.
 
     At the threshold D <= (k-1)n - 2 cross edges are missing. A vertex v
@@ -382,11 +344,36 @@ def _solve_multi(g: KPartiteGraph, trace: list[str]) -> tuple[int, ...]:
     never raises. The sigma bound alone does not give this: 8694 (3,3)
     threshold graphs meet it with sigma = 8 < N.
     """
-    if g.n == 2:
-        trace.append(BASE_N2)
-    cyc = _complete_closure(g.adj, g.n)
-    trace.append(LEMMA_CLOSURE)
-    return cyc
+    start = tuple(p * n + i for i in range(n) for p in range(k))
+    if k == 2 and n >= 2:
+        part0, part1 = part_masks(2, n)
+        cand, bound = (part1,) * n + (part0,) * n, n + 1
+    else:
+        full = (1 << k * n) - 1
+        cand, bound = tuple(full ^ (1 << u) for u in range(k * n)), k * n
+    head = (BASE_N1,) if n == 1 else (BASE_K2,) if k == 2 else (BASE_N2,) if n == 2 else ()
+    trace = head + (ORE_ROTATION if n == 1 else LEMMA_CLOSURE,)
+    return trace, head + (SEARCH_FALLBACK,), cand, bound, start
+
+
+def ore_build_cycle(adj: Sequence[int]) -> tuple[int, ...]:
+    """Build a Hamilton cycle in a graph satisfying the all-pairs degree-sum
+    condition (every nonadjacent u, v has degree sum >= N).
+
+    Under that condition every nonadjacent pair qualifies for the all-pairs
+    closure at bound N from the first step, so the closure reaches the start
+    cycle 0, 1, ..., N-1, and its unwind carries that cycle back onto adj.
+    """
+    ok, witness = check_ore(adj)
+    if not ok:
+        raise HypothesisNotMet(f"degree-sum condition fails at pair {witness}")
+    _, _, cand, bound, start = _route(len(adj), 1)
+    return _closure_cycle(adj, cand, bound, start)
+
+
+# =====================================================================
+# solve dispatch
+# =====================================================================
 
 
 def solve(g: KPartiteGraph) -> SolveResult:
@@ -395,8 +382,8 @@ def solve(g: KPartiteGraph) -> SolveResult:
     Returns a SolveResult whose cycle is present whenever the edge count
     meets edge_threshold(k, n) and (k, n) != (2, 1); below the threshold
     the result fails with HypothesisNotMet without running any search. The
-    trace lists every branch taken, including SearchFallback when a
-    constructive route raised ConstructionFailed (see _construct).
+    trace lists every branch taken, including SearchFallback when the
+    closure raised ConstructionFailed (see _construct).
     """
     if (g.k, g.n) == (2, 1):
         return SolveResult(None, (), FAIL_TOO_SMALL)
@@ -411,9 +398,9 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
 
     One edge short it runs solve()'s route (_construct), and otherwise it
     returns solve(g). The closures are sound at any edge count (Bondy &
-    Chvatal). One edge short they are complete at k == 2 (_solve_k2) and,
+    Chvatal). One edge short they are complete at k == 2 (see _route) and,
     as follows, at k >= 3 once a = (k-1)n >= 8. D = a - 1 edges are
-    missing, and as in _solve_multi no i < N/2 has d_i <= i:
+    missing, and as in _route's k >= 3 proof no i < N/2 has d_i <= i:
 
     * i = 1: the minimum degree is at least 2.
     * i = 2: two vertices of degree <= 2 miss >= 2(a - 2) - 1 > D distinct
@@ -438,25 +425,20 @@ def solve_theorem11(g: KPartiteGraph) -> SolveResult:
 
 
 def _construct(g: KPartiteGraph) -> SolveResult:
-    """Run the route for g's shape. This is the one place that catches
-    ConstructionFailed; it finishes the instance with the search."""
-    trace: list[str] = []
+    """Run the closure route for g's shape (_route). This is the one place
+    that catches ConstructionFailed; it finishes the instance with the
+    search under the route's dead-end trace."""
+    trace, dead_end_trace, cand, bound, start = _route(g.k, g.n)
     try:
-        if g.n == 1:
-            cyc = _solve_n1(g, trace)
-        elif g.k == 2:
-            cyc = _solve_k2(g, trace)
-        else:
-            cyc = _solve_multi(g, trace)
+        cyc = _closure_cycle(g.adj, cand, bound, start)
     except ConstructionFailed as exc:
-        return _finish_with_search(g, trace, str(exc))
-    return SolveResult(cyc, tuple(trace), None)
+        return _finish_with_search(g, dead_end_trace, str(exc))
+    return SolveResult(cyc, trace, None)
 
 
 def _finish_with_search(
-    g: KPartiteGraph, trace: list[str], reason: str
+    g: KPartiteGraph, trace: tuple[str, ...], reason: str
 ) -> SolveResult:
-    trace.append(SEARCH_FALLBACK)
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             "constructive gap: %s [k=%d n=%d m=%d edges=%s]",
@@ -468,8 +450,8 @@ def _finish_with_search(
         )
     found = _search_hamilton(g.adj)
     if found is None:
-        return SolveResult(None, tuple(trace), FAIL_NOT_HAMILTONIAN)
-    return SolveResult(canonical_cycle(found), tuple(trace), None)
+        return SolveResult(None, trace, FAIL_NOT_HAMILTONIAN)
+    return SolveResult(canonical_cycle(found), trace, None)
 
 
 # =====================================================================

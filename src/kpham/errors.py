@@ -40,10 +40,10 @@ class ConstructionFailed(KphamError):
 
     This signals a gap between the guaranteed hypothesis and what the greedy
     construction could actually realize on the instance. Inside the solver
-    it is the only gap signal: every route raises it with a reason, and
-    constructive._construct, which runs the route for both solve() and
-    solve_theorem11(), catches it in one place, logs the reason and falls
-    back to exhaustive search.
+    it is the only gap signal: the degree-sum closure raises it with a
+    reason, and constructive._construct, which runs the shape's closure
+    route for both solve() and solve_theorem11(), catches it in one place,
+    logs the reason and falls back to exhaustive search.
     """
 
 

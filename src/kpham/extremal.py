@@ -100,18 +100,17 @@ class FaultReport:
 
 
 def _fault_chunk(
-    args: tuple[int, int, int, int | None, bool, bool, int, int],
+    args: tuple[int, int, int, int | None, bool, int, int],
 ) -> tuple[int, int, int, list[tuple[tuple[int, int], ...]]]:
-    k, n, deletions, seed, exhaustive, cross_check, lo, hi = args
+    k, n, deletions, seed, cross_check, lo, hi = args
     host = _Host(k, n)
     ids = range(len(host.edges))
     at_threshold = len(ids) - deletions >= edge_threshold(k, n)
     fallbacks = disagreements = 0
     failures: list[tuple[tuple[int, int], ...]] = []
-    if exhaustive:
+    if seed is None:  # exhaustive mode
         picks = islice(combinations(ids, deletions), lo, hi)
     else:
-        assert seed is not None
         picks = (
             sorted(random.Random(seed + i).sample(ids, deletions))
             for i in range(lo, hi)
@@ -186,7 +185,7 @@ def fault_tolerance_trial(
             "below-threshold instances need the oracle, and"
             f" {k * n} vertices exceeds its cap of {ORACLE_VERTEX_CAP}"
         )
-    head = (k, n, deletions, seed, exhaustive, cross_check)
+    head = (k, n, deletions, seed, cross_check)
     survived, fallbacks, disagreements, failures = run_chunks(
         _fault_chunk, head, total, jobs
     )

@@ -47,7 +47,7 @@ from kpham import (
 )
 from kpham import constructive
 from kpham.conditions import meets_sigma_bound
-from kpham.constructive import TRACE_TAGS, _closure_cycle, _complete_closure
+from kpham.constructive import TRACE_TAGS, _closure_cycle, _route
 from kpham.oracle import is_hamiltonian
 
 # nine edges, min degree 2, yet vertices 0 and 2 both see exactly {4, 5},
@@ -454,9 +454,40 @@ def _hub_closures(draw):
     return g, _route_closure(g)[1] + draw(st.integers(-4, 1))
 
 
+@st.composite
+def _reach_closures(draw):
+    """(graph, bound) whose first (B) or (C) join is at a row of degree
+    bound or one or two above it. Vertex 0 is joined to every vertex of the
+    other parts but one or two it keeps as open candidates (none may be
+    needed under the all-pairs route at n >= 2, where its part-mates are
+    candidates), and every other row has degree at most 5, so no gap or gap
+    end reaches bound. Every open candidate of 0 keeps both its start edges,
+    and 0 keeps its own, so none of them is a gap end and the ascending (C)
+    scan meets row 0 first."""
+    k = draw(st.one_of(st.just(2), st.integers(3, 16), st.integers(17, MAX_VERTICES)))
+    # (k-1)n >= 16 keeps the degree of vertex 0 above twice the low rows'
+    n = draw(st.integers(-(-16 // (k - 1)), MAX_VERTICES // k))
+    count = k * n
+    _, _, start = _route_closure(new_complete(k, n))
+    cross = [w for w in range(n, count) if w not in (start[1], start[-1])]
+    least = 1 if k == 2 or n == 1 else 0
+    opened = draw(st.sets(st.sampled_from(cross), min_size=least, max_size=2))
+    kept = opened | set(range(1, n)) if k > 2 else opened
+    edges = {(0, w) for w in range(n, count) if w not in opened}
+    for u, v in zip(start, start[1:] + start[:1]):
+        if u in kept or v in kept:
+            edges.add((min(u, v), max(u, v)))
+    low = st.integers(1, count - 1)
+    for u, v in draw(st.lists(st.tuples(low, low), max_size=2)):
+        if u // n != v // n:
+            edges.add((min(u, v), max(u, v)))
+    g = from_edge_list(k, n, sorted(edges))
+    return g, g.adj[0].bit_count() - draw(st.integers(0, 2))
+
+
 class TestJoinCounts:
     @settings(max_examples=150, deadline=None)
-    @given(_hub_closures())
+    @given(st.one_of(_hub_closures(), _reach_closures()))
     # (C) joins (3, 5) while deg[3] = 7 passes the bound 6, so row 3's
     # partners come from reach[0]: every open candidate.
     @example((from_edge_list(3, 3, [
@@ -466,8 +497,9 @@ class TestJoinCounts:
     # partner mask is empty at the first (B) step.
     @example((_hub_graph(6, 1, random.Random(463)), 7))
     def test_hub_graphs_match_restart_closure(self, case):
-        # The route's cand and start with the bound moved by up to 4 below
-        # and 1 above: the join list and the cycle, or the error, match
+        # The route's cand and start, on hub graphs with the bound moved by
+        # up to 4 below and 1 above or on graphs built to join a row at or
+        # past the bound: the join list and the cycle, or the error, match
         # _restart_closure_cycle, which rescans after every join.
         g, bound = case
         cand, _, start = _route_closure(g)
@@ -543,8 +575,9 @@ class TestSolve:
         assert r.cycle == canonical_cycle(r.cycle)
 
     def test_every_threshold_n1_graph(self):
-        # _solve_n1 relies on the edge threshold implying the degree-sum
-        # condition; check it on all 8187 threshold (k,1) graphs, k = 3..7.
+        # The n = 1 route (see _route) relies on the edge threshold implying
+        # the degree-sum condition; check it on all 8187 threshold (k,1)
+        # graphs, k = 3..7.
         count = 0
         for k in range(3, 8):
             for size in range(edge_threshold(k, 1), len(host_edges(k, 1)) + 1):
@@ -579,7 +612,7 @@ class TestSolve:
 
     def test_closure_alone_at_every_multipartite_shape(self):
         # Chvatal's condition holds at the threshold whenever k >= 3 and
-        # n >= 2 (see _solve_multi), so the all-pairs closure builds every
+        # n >= 2 (see _route), so the all-pairs closure builds every
         # seeded rand and hub graph at each such shape up to 64 vertices,
         # with no SearchFallback and no other branch.
         rng = random.Random(2024)
@@ -594,6 +627,27 @@ class TestSolve:
                     assert r.trace == want
                 shapes += 1
         assert shapes == 122
+
+    @pytest.mark.parametrize(
+        ("k", "n", "trace"),
+        [
+            (5, 1, ("BaseN1", "SearchFallback")),
+            (2, 3, ("BaseK2", "SearchFallback")),
+            (3, 2, ("BaseN2", "SearchFallback")),
+            (3, 3, ("SearchFallback",)),
+        ],
+    )
+    def test_dead_end_traces(self, monkeypatch, k, n, trace):
+        # When the closure raises, each route's dead-end trace keeps its
+        # first tag, if it has two, then SearchFallback, and the search
+        # gives the cycle.
+        def stall(*args):
+            raise ConstructionFailed("stalled")
+
+        monkeypatch.setattr(constructive, "_closure_cycle", stall)
+        g = new_complete(k, n)
+        want = canonical_cycle(constructive._search_hamilton(g.adj))
+        assert solve(g) == SolveResult(want, trace, None)
 
     def test_deterministic(self):
         g, _ = remove_edges(new_complete(4, 3), [(0, 3), (1, 4), (2, 11), (5, 9)])
@@ -885,9 +939,9 @@ class TestN2DegreeSumFacts:
 
 # ---- Chvatal's condition at the threshold ----------------------------------
 #
-# _solve_multi relies on every k >= 3, n >= 2 threshold graph meeting
-# Chvatal's degree-sequence condition, which makes its all-pairs closure at
-# bound N complete. Adding edges keeps the condition, so the full deletion
+# The k >= 3, n >= 2 route (see _route) relies on every threshold graph
+# meeting Chvatal's degree-sequence condition, which makes its all-pairs
+# closure at bound N complete. Adding edges keeps the condition, so the full deletion
 # budget (k-1)n-2 is the hardest case. solve_theorem11 relies on the same
 # condition one edge short wherever (k-1)n >= 8. Degrees are computed here
 # from the deleted edges, not through the solver.
@@ -945,10 +999,11 @@ class TestChvatalAtThreshold:
         k, n, dropped = case
         assert _chvatal(_threshold_degrees(k, n, dropped))[0]
         g, _ = remove_edges(new_complete(k, n), dropped)
-        validate_hamilton_cycle(g.adj, _complete_closure(g.adj, g.n))
+        _, _, cand, bound, start = _route(k, n)
+        validate_hamilton_cycle(g.adj, _closure_cycle(g.adj, cand, bound, start))
 
     def test_multi_case_split_arithmetic(self):
-        # _solve_multi's docstring rules out d_i <= i for each i < N/2 by one
+        # _route's k >= 3 proof rules out d_i <= i for each i < N/2 by one
         # of three inequalities, with a = (k-1)n and D the missing edges at
         # the threshold. Every shape up to the vertex cap is covered but one.
         uncovered = []
@@ -1003,8 +1058,9 @@ class TestChvatalAtThreshold:
         assert uncovered == census - {(4, 1), (6, 1)}
 
     def test_k2_degree_sum_arithmetic(self):
-        # _solve_k2: at most D + 1 <= n - 1 edges are missing at the two ends
-        # of a missing pair, so their degree sum reaches the bound n + 1.
+        # _route's k == 2 proof: at most D + 1 <= n - 1 edges are missing at
+        # the two ends of a missing pair, so their degree sum reaches the
+        # bound n + 1.
         for n in range(2, MAX_VERTICES // 2 + 1):
             missing = n * n - edge_threshold(2, n)
             assert missing == n - 2
