@@ -96,13 +96,7 @@ def parse_graphs(text: str) -> list[KPartiteGraph]:
                 raise GraphFormatError(line_no, f"blank line after {got} of {m} edges")
             if len(tokens) != 2:
                 raise GraphFormatError(line_no, "expected two endpoints")
-            tok = tokens[0]
-            try:
-                u = int(tok)
-                tok = tokens[1]
-                v = int(tok)
-            except ValueError:
-                raise GraphFormatError(line_no, f"not an integer: {tok!r}") from None
+            u, v = _ints(tokens, line_no)
             if not 0 <= u < v < count:
                 raise GraphFormatError(
                     line_no, f"endpoints must satisfy 0 <= u < v < {count}, got {u} {v}"

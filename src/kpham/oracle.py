@@ -199,19 +199,15 @@ def _held_karp(rows: tuple[int, ...]) -> tuple[list[int] | None, int]:
     finals = dp[full] & rows[0] & ~1
     if not finals:
         return None, nodes
-    end = (finals & -finals).bit_length() - 1
-    seq = [end]
+    # Walk back from the lowest closing end: each set bit of dp[mask] has a
+    # predecessor, so next() never runs dry.
+    cur = next(bits(finals))
+    seq = [cur]
     mask = full
-    cur = end
     while mask != (1 << cur) | 1:
-        prev_mask = mask & ~(1 << cur)
-        for p in bits(dp[prev_mask] & rows[cur]):
-            seq.append(p)
-            cur = p
-            mask = prev_mask
-            break
-        else:  # pragma: no cover - dp tables are self-consistent
-            return None, nodes
+        mask &= ~(1 << cur)
+        cur = next(bits(dp[mask] & rows[cur]))
+        seq.append(cur)
     seq.append(0)
     seq.reverse()
     return seq, nodes

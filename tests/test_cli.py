@@ -90,6 +90,18 @@ class TestCheck:
         assert out.count("\n") == 1
         assert "sigma=inf" in out
 
+    def test_machine_output_below_three_vertices(self, capsys, tmp_path):
+        # One edge on two vertices: Ore and Theorem 2 are not evaluated.
+        path = graph_file(tmp_path, new_complete(2, 1))
+        code, out, _ = invoke(capsys, "check", "--machine", path)
+        assert code == 0
+        assert out == (
+            "k=2 n=1 edge_count=1 min_degree=1 sigma=inf edge_threshold_t1=1"
+            " meets_theorem1=true meets_ore=false meets_theorem2_edges=false"
+            " meets_theorem4_min_degree=true meets_theorem5_sigma=true"
+            " meets_theorem11=false violation_theorem11=0\n"
+        )
+
     def test_stdin_dash(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(write_graph(new_complete(2, 2)))

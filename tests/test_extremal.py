@@ -201,6 +201,22 @@ class TestFaultTrials:
         assert evaluate(g).edge_count - rep.deletions >= edge_threshold(4, 3)
 
 
+class TestRefusals:
+    def test_more_deletions_than_host_edges(self, oracle_methods):
+        with pytest.raises(ValueError) as caught:
+            fault_tolerance_trial(2, 2, 5, seed=1, allow_over_budget=True)
+        assert str(caught.value) == "cannot delete 5 of 4 edges"
+        assert oracle_methods == []
+
+    def test_exhaustive_cap(self, oracle_methods):
+        with pytest.raises(TooLarge) as caught:
+            fault_tolerance_trial(4, 4, 10, exhaustive=True)
+        assert str(caught.value) == (
+            "11279926456656 deletion sets; exhaustive mode is capped at 200000"
+        )
+        assert oracle_methods == []
+
+
 class TestShapeErrors:
     # Both entry points check the shape before any other argument but the
     # fault trials' deletion count: the vertex cap first, then the parts,

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import partite_graphs, perm_hamiltonian
 import kpham.oracle
+from kpham import constructive
 from kpham import (
+    ConstructionFailed,
     EnumerationSummary,
     InvalidGraph,
     SolveResult,
@@ -25,6 +27,7 @@ from kpham import (
     remove_edges,
     validate_hamilton_cycle,
 )
+from kpham.cli import run
 from kpham.conditions import edge_threshold
 from kpham.graph import bits
 from kpham.oracle import _BACKTRACK_BUDGET, _CARRIED_CYCLES, Counterexample, _Host
@@ -400,6 +403,42 @@ class TestSweep:
         assert [c.edges for c in serial.counterexamples] == failing
         assert {c.solver_failure for c in serial.counterexamples} == {"Injected"}
         assert serial.solver_agreements == 79 - len(failing)
+
+    def test_search_fallbacks_are_counted(self, monkeypatch):
+        # With the closure stalled every threshold instance takes the
+        # search; each is still a validated cycle, so it also agrees.
+        def stall(*args):
+            raise ConstructionFailed("stalled")
+
+        monkeypatch.setattr(constructive, "_closure_cycle", stall)
+        s = enumerate_threshold_sweep(3, 2, jobs=1)
+        assert s.total == 79
+        assert s.solver_fallbacks == s.solver_agreements == s.total
+        assert s.branch_tags == (("BaseN2", 79), ("SearchFallback", 79))
+        assert s.counterexamples == ()
+
+    def test_invalid_cycle_is_a_counterexample(self, monkeypatch, capsys):
+        # The sweep's first instance is the host less its last two edges,
+        # 3-4 and 3-5; the injected cycle closes through 5-3.
+        host = new_complete(3, 2).edges()
+        first = host[:10]
+        real_solve = kpham.oracle.solve
+
+        def solve(g):
+            if g.edges() == first:
+                return SolveResult((0, 2, 4, 1, 5, 3), ("BaseN2", "LemmaClosure"), None)
+            return real_solve(g)
+
+        monkeypatch.setattr(kpham.oracle, "solve", solve)
+        s = enumerate_threshold_sweep(3, 2, jobs=1)
+        assert s.counterexamples == (Counterexample(tuple(first), True, "InvalidCycle"),)
+        assert s.solver_agreements == 78
+        assert s.solver_fallbacks == 0
+        assert run(["enumerate", "3", "2", "--counterexamples"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "counterexample oracle=yes solver=InvalidCycle"
+            " edges=0-2;0-3;0-4;0-5;1-2;1-3;1-4;1-5;2-4;2-5"
+        )
 
     def test_min_edges_above_host_is_empty(self):
         s = enumerate_threshold_sweep(2, 2, min_edges=5)
